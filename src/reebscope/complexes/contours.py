@@ -1,9 +1,12 @@
-"""Connected components of level sets of a PL field at a generic level.
+"""Connected pieces of the level sets of a PL field.
 
-A contour is described combinatorially by the set of edges it crosses (each
-at one interior point) and by the pairs of crossings joined by a segment
-inside an active triangle.  Levels equal to a (perturbed) vertex value are
-rejected; callers sample between consecutive vertex values.
+One engine, `label_level_sets`, labels the pieces of the level sets at a
+sorted batch of levels.  A piece is made of edge crossings (an edge whose
+value span holds the level strictly inside, cut at one interior point) and
+of vertices lying exactly on the level; a triangle or a flat edge joins
+its points.  At a generic level no vertex lies on the level, and a piece
+is a contour: the crossings it holds and the pairs of crossings joined by
+a segment inside an active triangle.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .simplicial import NonGenericLevelError, ScalarField, SimplicialComplex
 from .geodesic import vertex_distances
@@ -46,8 +51,164 @@ class Contour:
         seg = np.asarray(self.segments, dtype=np.int64)
         return float(np.linalg.norm(p[seg[:, 0]] - p[seg[:, 1]], axis=1).sum())
 
-    def touches(self, complex: SimplicialComplex, edge_mask) -> bool:
-        return bool(np.any(edge_mask[self.edge_ids]))
+
+@dataclass(frozen=True)
+class LevelPieces:
+    """Pieces of the level sets at a sorted batch of levels.
+
+    The points of all pieces sit in one array, piece after piece: piece p
+    owns points `bounds[p]:bounds[p + 1]`, its edge crossings by edge id
+    and then its vertices on the level by vertex id.  `items` holds the
+    edge id of a crossing and the vertex id of a vertex point.  Pieces come
+    by level, then by least edge id, pieces of vertices alone coming last.
+    Piece p owns the point pairs `joins[join_bounds[p]:join_bounds[p + 1]]`
+    joined inside a triangle, by triangle id.
+    """
+    levels: np.ndarray
+    items: np.ndarray
+    on_vertex: np.ndarray
+    bounds: np.ndarray
+    piece_level: np.ndarray
+    joins: np.ndarray
+    join_bounds: np.ndarray
+
+    def pieces_at(self, k: int) -> range:
+        """Indices of the pieces at level `levels[k]`."""
+        lo, hi = np.searchsorted(self.piece_level, [k, k + 1])
+        return range(int(lo), int(hi))
+
+
+# Callers label batches of levels holding about this many crossings.  A
+# batch then costs about as much as the fixed cost of a call on the
+# fixture meshes, and its arrays stay within a few megabytes.
+_BATCH_CROSSINGS = 4096
+
+# column of triangle_edges joining two corners of a triangle
+_EDGE_COLUMN = np.array([[-1, 0, 1], [0, -1, 2], [1, 2, -1]])
+
+
+def label_level_sets(complex: SimplicialComplex, g, levels) -> LevelPieces:
+    """Label the pieces of the level sets of vertex values `g` at the
+    ascending `levels`, with one connected-components call for the batch.
+
+    For each triangle with corner values g_a <= g_b <= g_c and each level
+    strictly inside (g_a, g_c), the crossing on edge ac joins the crossing
+    on ab (level below g_b), vertex b (level at g_b) or the crossing on bc
+    (level above g_b).  The two ends of a flat edge on a level join too.
+    """
+    levels = np.asarray(levels, dtype=np.float64)
+    e = complex.edges
+    g0, g1 = g[e[:, 0]], g[e[:, 1]]
+    lo, hi = np.minimum(g0, g1), np.maximum(g0, g1)
+    near = np.flatnonzero((lo < levels[-1]) & (hi > levels[0]))
+    near_k0 = np.searchsorted(levels, lo[near], side="right")
+    near_span = np.maximum(
+        np.searchsorted(levels, hi[near], side="left") - near_k0, 0)
+    near_first = np.cumsum(near_span) - near_span
+    n_cross = int(near_span.sum())
+    c_edge = np.repeat(near, near_span)
+    c_level = np.repeat(near_k0 - near_first, near_span) + np.arange(n_cross)
+    # node first[i] + j is the crossing of edge i at level k0[i] + j
+    k0, first, span = (np.zeros(complex.n_edges, dtype=np.int64)
+                       for _ in range(3))
+    k0[near], first[near], span[near] = near_k0, near_first, near_span
+
+    near_v = np.flatnonzero((g >= levels[0]) & (g <= levels[-1]))
+    vk = np.searchsorted(levels, g[near_v], side="left")
+    hit = levels[vk] == g[near_v]
+    v_id, vk = near_v[hit], vk[hit]
+    v_node = np.full(complex.n_vertices, -1, dtype=np.int64)
+    v_node[v_id] = n_cross + np.arange(v_id.size)
+
+    # edge ac spans every level the triangle's other edges span
+    te = complex.triangle_edges
+    n_ac = np.maximum(np.maximum(span[te[:, 0]], span[te[:, 1]]),
+                      span[te[:, 2]])
+    rows = np.flatnonzero(n_ac)
+    tri, te, n_ac = complex.triangles[rows], te[rows], n_ac[rows]
+    pa, pb, pc = np.argsort(g[tri], axis=1, kind="stable").T
+    r = np.arange(rows.size)
+    e_ac = te[r, _EDGE_COLUMN[pa, pc]]
+    e_ab = te[r, _EDGE_COLUMN[pa, pb]]
+    e_bc = te[r, _EDGE_COLUMN[pb, pc]]
+    jt = np.repeat(r, n_ac)
+    step = np.arange(jt.size) - np.repeat(np.cumsum(n_ac) - n_ac, n_ac)
+    ac, ab, bc = e_ac[jt], e_ab[jt], e_bc[jt]
+    k = k0[ac] + step
+    vb = tri[r, pb][jt]
+    other = np.where(levels[k] < g[vb], first[ab] + k - k0[ab],
+                     np.where(levels[k] > g[vb], first[bc] + k - k0[bc],
+                              v_node[vb]))
+    joins = np.column_stack([first[ac] + step, other])
+    flat_joins = v_node[e[(g0 == g1) & (v_node[e[:, 0]] >= 0)]]
+
+    # number the nodes by (level, crossings before vertices, id), so that
+    # the component labels, numbered by least node, order the pieces
+    node_level = np.concatenate([c_level, vk])
+    order = np.lexsort((np.concatenate([c_edge, v_id]),
+                        np.arange(node_level.size) >= n_cross, node_level))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    both = rank[np.vstack([joins, flat_joins])]
+    graph = coo_matrix((np.ones(both.shape[0], dtype=bool),
+                        (both[:, 0], both[:, 1])),
+                       shape=(order.size, order.size))
+    n_pieces, labels = connected_components(graph, directed=False)
+    points = order[np.argsort(labels, kind="stable")]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(
+        labels, minlength=n_pieces))])
+
+    where = np.empty_like(points)
+    where[points] = np.arange(points.size)
+    joins = where[joins]
+    join_piece = np.repeat(np.arange(n_pieces), np.diff(bounds))[joins[:, 0]]
+    by_piece = np.argsort(join_piece, kind="stable")
+    return LevelPieces(
+        levels=levels,
+        items=np.concatenate([c_edge, v_id])[points],
+        on_vertex=points >= n_cross,
+        bounds=bounds,
+        piece_level=node_level[points[bounds[:-1]]],
+        joins=joins[by_piece],
+        join_bounds=np.searchsorted(join_piece[by_piece],
+                                    np.arange(n_pieces + 1)))
+
+
+def crossing_counts(complex: SimplicialComplex, g, levels):
+    """Number of edges whose value span holds each of the ascending
+    `levels` strictly inside."""
+    g0, g1 = g[complex.edges[:, 0]], g[complex.edges[:, 1]]
+    k0 = np.searchsorted(levels, np.minimum(g0, g1), side="right")
+    k1 = np.maximum(np.searchsorted(levels, np.maximum(g0, g1),
+                                    side="left"), k0)
+    n = len(levels) + 1
+    return np.cumsum(np.bincount(k0, minlength=n)
+                     - np.bincount(k1, minlength=n))[:-1]
+
+
+def batch_end(before, start: int) -> int:
+    """End of the batch of levels from `start` whose crossings, given as
+    running totals `before` (one more entry than levels), stay within
+    _BATCH_CROSSINGS; a batch holds at least one level."""
+    end = np.searchsorted(before, before[start] + _BATCH_CROSSINGS,
+                          side="right") - 1
+    return max(start + 1, int(end))
+
+
+def level_contours(complex: SimplicialComplex, g, pieces: LevelPieces,
+                   k: int, level: float):
+    """The contours of the pieces at `levels[k]`, a generic level, with
+    their crossings placed at `level`, any level of the same value gap."""
+    out = []
+    for p in pieces.pieces_at(k):
+        lo, hi = pieces.bounds[p], pieces.bounds[p + 1]
+        ids = pieces.items[lo:hi]
+        ga, gb = g[complex.edges[ids, 0]], g[complex.edges[ids, 1]]
+        segs = pieces.joins[pieces.join_bounds[p]:pieces.join_bounds[p + 1]]
+        out.append(Contour(level=float(level), edge_ids=ids,
+                           params=(level - ga) / (gb - ga),
+                           segments=np.sort(segs - lo, axis=1).tolist()))
+    return out
 
 
 def contours_at(complex: SimplicialComplex, field: ScalarField, level: float):
@@ -55,72 +216,38 @@ def contours_at(complex: SimplicialComplex, field: ScalarField, level: float):
     g = field.resolved_values
     if g.shape[0] != complex.n_vertices:
         raise ValueError("field does not match complex")
-    below = g < level
     if np.any(g == level):
         raise NonGenericLevelError(f"level {level!r} hits a vertex value")
-
-    straddle = below[complex.edges[:, 0]] != below[complex.edges[:, 1]]
-    ids = np.flatnonzero(straddle)
-    if ids.size == 0:
-        return []
-    local = np.full(complex.n_edges, -1, dtype=np.int64)
-    local[ids] = np.arange(ids.size)
-
-    pairs = _active_pairs(complex, straddle)
-
-    parent = np.arange(ids.size)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ea, eb in pairs:
-        ra, rb = find(local[ea]), find(local[eb])
-        if ra != rb:
-            parent[ra] = rb
-
-    groups = {}
-    for c in range(ids.size):
-        groups.setdefault(find(c), []).append(c)
-    pair_bucket = {r: [] for r in groups}
-    for ea, eb in pairs:
-        a = int(local[ea])
-        pair_bucket[find(a)].append((a, int(local[eb])))
-
-    ga, gb = g[complex.edges[ids, 0]], g[complex.edges[ids, 1]]
-    t_all = (level - ga) / (gb - ga)
-
-    out = []
-    for root, members in groups.items():
-        members = np.asarray(members, dtype=np.int64)
-        remap = {int(c): k for k, c in enumerate(members)}
-        segs = [(remap[a], remap[b]) for a, b in pair_bucket[root]]
-        out.append(Contour(level=float(level), edge_ids=ids[members],
-                           params=t_all[members], segments=segs))
-    out.sort(key=lambda c: int(c.edge_ids[0]))
-    return out
+    return level_contours(complex, g, label_level_sets(complex, g, [level]),
+                          0, level)
 
 
-def _active_pairs(complex: SimplicialComplex, straddle):
-    """(edge, edge) pairs cut by one triangle each, as an (A, 2) array."""
-    if complex.n_triangles == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    tri_mask = straddle[complex.triangle_edges]
-    counts = tri_mask.sum(axis=1)
-    bad = np.flatnonzero((counts != 0) & (counts != 2))
-    if bad.size:
-        raise AssertionError(
-            f"triangle {bad[0]} crosses the level on {counts[bad[0]]} edges; "
-            "field is not generic")
-    rows = np.flatnonzero(counts == 2)
-    if rows.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    pos = np.argsort(~tri_mask[rows], axis=1, kind="stable")[:, :2]
-    ea = complex.triangle_edges[rows, pos[:, 0]]
-    eb = complex.triangle_edges[rows, pos[:, 1]]
-    return np.column_stack([ea, eb])
+def link_components(complex: SimplicialComplex, g):
+    """Per vertex v: the number of components of its lower link and of
+    its upper link.
+
+    The link of v is the graph of the edges opposite v in the triangles
+    around it; its lower (upper) part is the subgraph induced on the link
+    vertices below (above) g[v].  All links are labelled together, with
+    one connected-components call over (vertex, link vertex) nodes.
+    """
+    n = complex.n_vertices
+    tri = complex.triangles
+    centre = tri.ravel()
+    ends = tri[:, [[1, 2], [0, 2], [0, 1]]].reshape(-1, 2)
+    key = np.concatenate([centre, centre]) * n + ends.T.ravel()
+    nodes, node_of = np.unique(key, return_inverse=True)
+    v, w = nodes // n, nodes % n
+    side = np.sign(g[w] - g[v])
+    a, b = node_of[:centre.size], node_of[centre.size:]
+    same = side[a] == side[b]
+    graph = coo_matrix((np.ones(int(same.sum()), dtype=bool),
+                        (a[same], b[same])), shape=(nodes.size, nodes.size))
+    _, labels = connected_components(graph, directed=False)
+    rep = np.unique(labels, return_index=True)[1]
+    lower = np.bincount(v[rep][side[rep] < 0], minlength=n)
+    upper = np.bincount(v[rep][side[rep] > 0], minlength=n)
+    return lower, upper
 
 
 def contour_count_at(complex, field, level) -> int:

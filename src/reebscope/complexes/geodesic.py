@@ -37,30 +37,3 @@ def diameter(complex: SimplicialComplex) -> float:
     finite = d[np.isfinite(d)]
     return float(finite.max()) if finite.size else 0.0
 
-
-def diameter_estimate(complex: SimplicialComplex, seeds=(0,), sweeps=8):
-    """Lower estimate of the diameter by iterated farthest-point sweeps.
-
-    Exact on trees; on general graphs returns at least the eccentricity of
-    every visited vertex, which is within a factor 2 of the diameter and in
-    practice much closer.
-    """
-    best = 0.0
-    frontier = list(dict.fromkeys(int(s) for s in seeds))
-    visited = set()
-    for _ in range(sweeps):
-        nxt = []
-        for s in frontier:
-            if s in visited:
-                continue
-            visited.add(s)
-            d = single_source(complex, s)
-            d[~np.isfinite(d)] = -1.0
-            far = int(np.argmax(d))
-            if d[far] > best:
-                best = float(d[far])
-            nxt.append(far)
-        frontier = [v for v in nxt if v not in visited]
-        if not frontier:
-            break
-    return best

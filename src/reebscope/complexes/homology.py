@@ -1,10 +1,11 @@
 """Betti numbers of a simplicial 2-complex over the rationals.
 
-b0 comes from union-find, and rank of the edge boundary map is the standard
-identity V - #components.  Rank of the triangle boundary map is computed by
-fraction-free integer elimination on a sparse column dictionary; entries stay
-integers (divided by their gcd after each step), so there is no float or
-exact-rational blowup to worry about at the sizes we use.
+b0 is the component count of the complex, and rank of the edge boundary
+map is the standard identity V - #components.  Rank of the triangle
+boundary map is computed by fraction-free integer elimination on a sparse
+column dictionary; entries stay integers (divided by their gcd after each
+step), so there is no float or exact-rational blowup to worry about at the
+sizes we use.
 """
 
 from __future__ import annotations

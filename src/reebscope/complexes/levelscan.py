@@ -1,11 +1,10 @@
-"""Incremental sweep over all generic level gaps of a PL field.
+"""Every generic level gap of a PL field, in increasing value order.
 
 Between two consecutive vertex values the level set is combinatorially
-constant, so one pass in increasing value order visits every combinatorial
-contour exactly once.  The scanner keeps the straddling-edge state up to
-date in O(deg) per vertex; a GapView materializes contours on demand.
-
-Views are only valid until the next step of the generator.
+constant, so one pass over the gaps visits every combinatorial contour
+exactly once.  The scan labels the contours of the gaps ahead in batches,
+at the gap midpoints, and a GapView places them at any level of its gap.
+Views stay valid for the life of the scan.
 """
 
 from __future__ import annotations
@@ -13,16 +12,18 @@ from __future__ import annotations
 import numpy as np
 
 from .simplicial import ScalarField, SimplicialComplex
-from .contours import Contour
+from .contours import (batch_end, crossing_counts, label_level_sets,
+                       level_contours)
 
 
 class GapView:
     """Read-only window onto one value gap of a LevelScan."""
 
-    __slots__ = ("_scan", "index", "lo", "hi")
+    __slots__ = ("_scan", "_gap", "index", "lo", "hi")
 
-    def __init__(self, scan, index, lo, hi):
+    def __init__(self, scan, gap, index, lo, hi):
         self._scan = scan
+        self._gap = gap
         self.index = index
         self.lo = lo
         self.hi = hi
@@ -33,10 +34,7 @@ class GapView:
 
     @property
     def n_crossings(self):
-        return len(self._scan._straddling)
-
-    def crossing_edges(self):
-        return np.asarray(sorted(self._scan._straddling), dtype=np.int64)
+        return int(self._scan._n_crossings[self._gap])
 
     def levels(self, per_gap: int = 1):
         """`per_gap` evenly spaced interior levels of this gap."""
@@ -45,7 +43,8 @@ class GapView:
                 for j in range(per_gap)]
 
     def contours(self, level=None):
-        return self._scan._contours(self.level if level is None else level)
+        return self._scan._contours(self._gap,
+                                    self.level if level is None else level)
 
 
 class LevelScan:
@@ -54,92 +53,35 @@ class LevelScan:
             raise ValueError("field does not match complex")
         self.complex = complex
         self.field = field
-        g = field.resolved_values
-        self.order = np.argsort(g, kind="stable")
-        self.g = g
-        self._straddle = np.zeros(complex.n_edges, dtype=bool)
-        self._tri_cut = np.zeros(max(complex.n_triangles, 1), dtype=np.int8)
-        self._straddling = set()
-        self._active_tris = set()
-
-    def _step(self, v):
-        cx = self.complex
-        for e in cx.vertex_edges[v]:
-            now = not self._straddle[e]
-            self._straddle[e] = now
-            if now:
-                self._straddling.add(e)
-            else:
-                self._straddling.discard(e)
-            for t in cx.edge_triangles[e]:
-                self._tri_cut[t] += 1 if now else -1
-                if self._tri_cut[t] == 2:
-                    self._active_tris.add(t)
-                else:
-                    self._active_tris.discard(t)
+        self.g = g = field.resolved_values
+        # gap j lies between the distinct values vals[j] and vals[j + 1]
+        self._vals = vals = np.unique(g)
+        self._mids = 0.5 * (vals[:-1] + vals[1:])
+        self._n_crossings = crossing_counts(complex, g, self._mids)
+        self._crossings_before = np.concatenate(
+            [[0], np.cumsum(self._n_crossings)])
+        self._batch = (0, 0, None)
 
     def gaps(self):
-        """Yield a GapView for every positive-width gap between consecutive
-        vertex values that carries a nonempty level set.  Tied values leave
-        zero-width positions, which are stepped over without a view."""
-        g, order = self.g, self.order
-        n = order.shape[0]
-        for pos in range(n - 1):
-            self._step(int(order[pos]))
-            lo, hi = g[order[pos]], g[order[pos + 1]]
-            if lo < hi and self._straddling:
-                yield GapView(self, pos, float(lo), float(hi))
-        self._step(int(order[n - 1]))
+        """Yield a GapView for every gap between consecutive vertex values
+        that carries a nonempty level set.  `index` is the position, in
+        value order, of the last vertex at the gap's lower value."""
+        vals = self._vals
+        last = np.searchsorted(np.sort(self.g), vals, side="right") - 1
+        for j in np.flatnonzero(self._n_crossings).tolist():
+            yield GapView(self, j, int(last[j]), float(vals[j]),
+                          float(vals[j + 1]))
 
-    def _contours(self, level):
-        cx = self.complex
-        ids = sorted(self._straddling)
-        if not ids:
-            return []
-        local = {e: i for i, e in enumerate(ids)}
-        parent = list(range(len(ids)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        pairs = []
-        s = self._straddle
-        for t in self._active_tris:
-            e0, e1, e2 = cx.triangle_edges[t]
-            if s[e0]:
-                ea, eb = (e0, e1) if s[e1] else (e0, e2)
-            else:
-                ea, eb = e1, e2
-            pairs.append((local[ea], local[eb]))
-            ra, rb = find(local[ea]), find(local[eb])
-            if ra != rb:
-                parent[ra] = rb
-
-        groups = {}
-        for i in range(len(ids)):
-            groups.setdefault(find(i), []).append(i)
-        bucket = {r: [] for r in groups}
-        for a, b in pairs:
-            bucket[find(a)].append((a, b))
-
-        ids_arr = np.asarray(ids, dtype=np.int64)
-        ga = self.g[cx.edges[ids_arr, 0]]
-        gb = self.g[cx.edges[ids_arr, 1]]
-        t_all = (level - ga) / (gb - ga)
-
-        out = []
-        for root, members in groups.items():
-            remap = {c: k for k, c in enumerate(members)}
-            marr = np.asarray(members, dtype=np.int64)
-            out.append(Contour(level=float(level), edge_ids=ids_arr[marr],
-                               params=t_all[marr],
-                               segments=[(remap[a], remap[b])
-                                         for a, b in bucket[root]]))
-        out.sort(key=lambda c: int(c.edge_ids[0]))
-        return out
+    def _contours(self, gap, level):
+        start, stop, pieces = self._batch
+        if not start <= gap < stop:
+            # label the gaps ahead too: a consumer reading every gap then
+            # shares each call among many
+            start, stop = gap, batch_end(self._crossings_before, gap)
+            pieces = label_level_sets(self.complex, self.g,
+                                      self._mids[start:stop])
+            self._batch = (start, stop, pieces)
+        return level_contours(self.complex, self.g, pieces, gap - start, level)
 
 
 def select_gap_indices(n_gaps: int, target: int, edge_quota: int = 25):

@@ -14,6 +14,8 @@ floats so that every consumer shares one consistent order.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 COORD_LENGTH_RTOL = 1e-9
 
@@ -59,6 +61,8 @@ class SimplicialComplex:
         if self.coords is not None:
             if self.coords.ndim != 2 or self.coords.shape[1] != 3:
                 raise ValueError("coords must be a (V, 3) array")
+            if not np.all(np.isfinite(self.coords)):
+                raise ValueError("coords must be finite")
             n_vertices = self.coords.shape[0]
         if n_vertices is None:
             raise ValueError("need coords or an explicit n_vertices")
@@ -85,6 +89,8 @@ class SimplicialComplex:
             lengths = np.asarray(lengths, dtype=float)
             if lengths.shape != (given_sorted.shape[0],):
                 raise ValueError("lengths must align with edges")
+            if not np.all(np.isfinite(lengths)):
+                raise ValueError("edge lengths must be finite")
 
         tri_pairs = np.vstack([tri[:, [0, 1]], tri[:, [0, 2]], tri[:, [1, 2]]]) \
             if tri.size else np.zeros((0, 2), dtype=np.int64)
@@ -171,24 +177,11 @@ class SimplicialComplex:
     # ------------------------------------------------------------------
 
     def _components(self):
-        parent = np.arange(self.n_vertices)
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in self.edges.tolist():
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-        roots = {}
-        labels = np.zeros(self.n_vertices, dtype=np.int64)
-        for v in range(self.n_vertices):
-            r = find(v)
-            labels[v] = roots.setdefault(r, len(roots))
-        return labels
+        """Component label per vertex, numbered by least vertex."""
+        ones = np.ones(self.n_edges, dtype=bool)
+        graph = coo_matrix((ones, (self.edges[:, 0], self.edges[:, 1])),
+                           shape=(self.n_vertices, self.n_vertices))
+        return connected_components(graph, directed=False)[1].astype(np.int64)
 
     def edge_id(self, i, j):
         return self._edge_index[(i, j) if i < j else (j, i)]

@@ -80,11 +80,14 @@ def build_reeb(complex: SimplicialComplex, field: ScalarField):
         if n else np.empty(0, dtype=np.int64)
     bounds = np.append(starts, n)
 
-    processed = np.zeros(n, dtype=bool)
+    # the flood below reads single entries millions of times, and
+    # memoryviews return them as Python scalars, far faster than numpy
+    processed = memoryview(np.zeros(n, dtype=bool))
     edges_arr = complex.edges
+    ends = memoryview(edges_arr)
     vtx_edges = complex.vertex_edges
     edge_tris = complex.edge_triangles
-    tri_edges = complex.triangle_edges
+    tri_edges = memoryview(complex.triangle_edges)
     use_links = complex.is_surface
     vertex_tris = None
     if use_links:
@@ -100,8 +103,7 @@ def build_reeb(complex: SimplicialComplex, field: ScalarField):
     qpoints = [None] * n
 
     def straddles(e):
-        i, j = edges_arr[e]
-        return processed[i] != processed[j]
+        return processed[ends[e, 0]] != processed[ends[e, 1]]
 
     def flood(pool):
         """Partition `pool` into contour components one gap above the
@@ -115,7 +117,8 @@ def build_reeb(complex: SimplicialComplex, field: ScalarField):
             while stack:
                 e = stack.pop()
                 for t in edge_tris[e]:
-                    cut = [x for x in tri_edges[t] if straddles(x)]
+                    cut = [x for x in (tri_edges[t, 0], tri_edges[t, 1],
+                                       tri_edges[t, 2]) if straddles(x)]
                     if not cut:
                         continue
                     if len(cut) != 2:

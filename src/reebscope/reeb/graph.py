@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 
 class ReebGraph:
@@ -40,19 +42,10 @@ class ReebGraph:
     @property
     def n_components(self):
         if self._components is None:
-            parent = list(range(self.n_nodes))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for u, v in self.edges:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-            self._components = len({find(x) for x in range(self.n_nodes)})
+            u, v = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2).T
+            graph = coo_matrix((np.ones(u.size, dtype=bool), (u, v)),
+                               shape=(self.n_nodes, self.n_nodes))
+            self._components = connected_components(graph, directed=False)[0]
         return self._components
 
     @property

@@ -1,16 +1,12 @@
 """Verification suites over generated fixtures.
 
 Each suite returns a list of BoundReports sorted by name, built
-deterministically from (h, seed, tol).  Fixtures run in a thread pool
-capped by the REEBSCOPE_THREADS environment variable; order never
-depends on scheduling.
+deterministically from (h, seed, tol).
 """
 
 from __future__ import annotations
 
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,23 +22,9 @@ from .width import (TRIPOD_WIDTH, disk_contour_verify,
                     hemisphere_width_verify)
 
 
-def _pool_size() -> int:
-    env = os.environ.get("REEBSCOPE_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def _run_jobs(jobs):
-    """Run (name, thunk) jobs, possibly in parallel; sorted flat reports."""
-    workers = min(_pool_size(), len(jobs))
-    if workers <= 1:
-        chunks = [thunk() for _, thunk in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(thunk) for _, thunk in jobs]
-            chunks = [f.result() for f in futures]
-    reports = [r for chunk in chunks for r in chunk]
+    """Run (name, thunk) jobs in order; sorted flat reports."""
+    reports = [r for _, thunk in jobs for r in thunk()]
     reports.sort(key=lambda r: r.name)
     return reports
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexes.contours import (batch_end, crossing_counts,
+                                 label_level_sets, link_components)
 from .complexes.levelscan import LevelScan
 from .complexes.simplicial import ScalarField, SimplicialComplex
 from .metric import _sweep_diameter
@@ -193,114 +195,37 @@ class DiskReport:
         }
 
 
-def _link_component_count(pairs, sel):
-    """Components of the induced subgraph on `sel` whose edges are the
-    link pairs with both ends selected."""
-    parent = {w: w for w in sel}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        if a in parent and b in parent:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(w) for w in sel})
-
-
-def _interior_critical_levels(complex, g):
-    """Values of interior vertices where the level set can change shape:
-    extrema and saddles of the vertex order, plus vertices tied with a
-    link neighbour.  Boundary vertices are skipped since their values are
-    candidate levels regardless."""
-    opp = [[] for _ in range(complex.n_vertices)]
-    for a, b, c in complex.triangles.tolist():
-        opp[a].append((b, c))
-        opp[b].append((a, c))
-        opp[c].append((a, b))
-    out = set()
-    for v in range(complex.n_vertices):
-        if complex.boundary_vertices[v]:
-            continue
-        pairs = opp[v]
-        gv = float(g[v])
-        low, up, tied = set(), set(), False
-        for p in pairs:
-            for w in p:
-                if g[w] < gv:
-                    low.add(w)
-                elif g[w] > gv:
-                    up.add(w)
-                else:
-                    tied = True
-        if tied or _link_component_count(pairs, low) != 1 \
-                or _link_component_count(pairs, up) != 1:
-            out.add(gv)
-    return out
-
-
-def _level_pieces(complex, g, c, elo, ehi):
-    """Connected pieces of the level set at value c.
-
-    Unlike the transverse contour walk, vertices sitting exactly at the
-    level belong to the pieces: a level through a saddle keeps its arms
-    joined, and a flat stretch at the level is carried whole.  Yields per
-    piece the crossing and vertex points with a mask marking the ones on
-    the boundary."""
-    e = complex.edges
-    straddle = (elo < c) & (ehi > c)
-    at = g == c
-    items = [("e", int(i)) for i in np.flatnonzero(straddle)]
-    items += [("v", int(v)) for v in np.flatnonzero(at)]
-    parent = {it: it for it in items}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    tv = complex.triangles
-    te = complex.triangle_edges
-    active = at[tv].any(axis=1) | (straddle[te].sum(axis=1) >= 2) \
-        if tv.size else np.zeros(0, dtype=bool)
-    for t in np.flatnonzero(active):
-        mem = [("e", int(i)) for i in te[t] if straddle[i]]
-        mem += [("v", int(v)) for v in tv[t] if at[v]]
-        for other in mem[1:]:
-            union(mem[0], other)
-    # flat edges outside every triangle still join their endpoints
-    for i in np.flatnonzero(at[e[:, 0]] & at[e[:, 1]]):
-        union(("v", int(e[i, 0])), ("v", int(e[i, 1])))
-
-    coords = complex.coords
-    bedge = complex.boundary_edges
+def _candidate_levels(complex, g):
+    """Sorted values where the level set can change shape: boundary vertex
+    values, values shared by two or more vertices (which covers a vertex
+    tied with a link neighbour), and the values of interior vertices that
+    are extrema or saddles of the vertex order."""
+    lower, upper = link_components(complex, g)
     bvert = complex.boundary_vertices
-    groups = {}
-    for it in items:
-        groups.setdefault(find(it), []).append(it)
-    for mem in groups.values():
-        pts = np.empty((len(mem), 3))
-        onb = np.empty(len(mem), dtype=bool)
-        for i, (kind, idx) in enumerate(mem):
-            if kind == "e":
-                u, w = e[idx]
-                s = (c - g[u]) / (g[w] - g[u])
-                pts[i] = coords[u] + s * (coords[w] - coords[u])
-                onb[i] = bedge[idx]
-            else:
-                pts[i] = coords[idx]
-                onb[i] = bvert[idx]
-        yield pts, onb
+    cand = set(np.unique(g[bvert]).tolist())
+    vals, counts = np.unique(g, return_counts=True)
+    cand.update(vals[counts >= 2].tolist())
+    cand.update(g[~bvert & ((lower != 1) | (upper != 1))].tolist())
+    return sorted(cand)
+
+
+def _piece_points(complex, g, pieces):
+    """Coordinates of the points of level-set pieces, in their order, and
+    a mask marking the ones on the boundary."""
+    items, at_vertex = pieces.items, pieces.on_vertex
+    level = np.repeat(pieces.levels[pieces.piece_level],
+                      np.diff(pieces.bounds))
+    coords = complex.coords
+    pts = np.empty((items.size, 3))
+    onb = np.empty(items.size, dtype=bool)
+    cross = ~at_vertex
+    u, w = complex.edges[items[cross]].T
+    s = (level[cross] - g[u]) / (g[w] - g[u])
+    pts[cross] = coords[u] + s[:, None] * (coords[w] - coords[u])
+    onb[cross] = complex.boundary_edges[items[cross]]
+    pts[at_vertex] = coords[items[at_vertex]]
+    onb[at_vertex] = complex.boundary_vertices[items[at_vertex]]
+    return pts, onb
 
 
 def _far_point_diameter(pts):
@@ -348,30 +273,32 @@ def disk_contour_verify(complex: SimplicialComplex, field: ScalarField,
     threshold = math.sqrt(3.0) - tol
 
     g = field.resolved_values
-    e = complex.edges
-    elo = np.minimum(g[e[:, 0]], g[e[:, 1]])
-    ehi = np.maximum(g[e[:, 0]], g[e[:, 1]])
-    cand = set(np.unique(g[complex.boundary_vertices]).tolist())
-    vals, counts = np.unique(g, return_counts=True)
-    cand.update(vals[counts >= 2].tolist())
-    cand.update(_interior_critical_levels(complex, g))
-    base = sorted(cand)
+    base = _candidate_levels(complex, g)
     levels = sorted(base + [0.5 * (a + b) for a, b in zip(base, base[1:])])
 
+    before = np.concatenate([[0], np.cumsum(
+        crossing_counts(complex, g, levels))])
     best_level = None
     best_b = 0.0
     best_i = 0.0
-    for c in levels:
-        for pts, onb in _level_pieces(complex, g, float(c), elo, ehi):
-            if pts.shape[0] < 2:
-                continue
-            best_i = max(best_i, _far_point_diameter(pts))
-            if int(onb.sum()) >= 2:
-                db = float(pdist(pts[onb]).max())
-                if db > best_b:
-                    best_b, best_level = db, float(c)
-        if early_stop and best_b >= threshold:
-            break
+    start = 0
+    while start < len(levels):
+        batch = levels[start:batch_end(before, start)]
+        start += len(batch)
+        pieces = label_level_sets(complex, g, batch)
+        pts, onb = _piece_points(complex, g, pieces)
+        for k, c in enumerate(batch):
+            for p in pieces.pieces_at(k):
+                lo, hi = pieces.bounds[p], pieces.bounds[p + 1]
+                if hi - lo < 2:
+                    continue
+                best_i = max(best_i, _far_point_diameter(pts[lo:hi]))
+                if int(onb[lo:hi].sum()) >= 2:
+                    db = float(pdist(pts[lo:hi][onb[lo:hi]]).max())
+                    if db > best_b:
+                        best_b, best_level = db, float(c)
+            if early_stop and best_b >= threshold:
+                return DiskReport(best_level, best_b, best_i, threshold, True)
     return DiskReport(best_level, best_b, best_i, threshold,
                       best_b >= threshold)
 

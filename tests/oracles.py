@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's production code paths:
 shortest paths are a textbook binary-heap Dijkstra (cross-checked by
 Bellman-Ford), level-set components come from a flood fill over crossing
-edges, and quotient distances are a Dijkstra over the Reeb graph nodes.
+edges, vertex links from a flood fill over each link, and quotient
+distances are a Dijkstra over the Reeb graph nodes.
 Run as a script to print the values the tests freeze.
 """
 
@@ -102,6 +103,43 @@ def contour_components(complex, values, level):
             stack.extend(neigh[e] - seen)
         comps.append(frozenset(comp))
     return comps
+
+
+def link_components(complex, values):
+    """Per vertex: the number of components of its lower link and of its
+    upper link, by a flood fill over the link of each vertex in turn."""
+    g = [float(x) for x in values]
+    link = [[] for _ in range(complex.n_vertices)]
+    for a, b, c in complex.triangles.tolist():
+        link[a].append((b, c))
+        link[b].append((a, c))
+        link[c].append((a, b))
+    lower, upper = [], []
+    for v, pairs in enumerate(link):
+        ws = {w for pair in pairs for w in pair}
+        lower.append(_flood_count(pairs, {w for w in ws if g[w] < g[v]}))
+        upper.append(_flood_count(pairs, {w for w in ws if g[w] > g[v]}))
+    return lower, upper
+
+
+def _flood_count(pairs, nodes):
+    neigh = {w: [] for w in nodes}
+    for a, b in pairs:
+        if a in neigh and b in neigh:
+            neigh[a].append(b)
+            neigh[b].append(a)
+    seen, count = set(), 0
+    for start in nodes:
+        if start in seen:
+            continue
+        count += 1
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            if x not in seen:
+                seen.add(x)
+                stack.extend(neigh[x])
+    return count
 
 
 def crossing_point(complex, values, level, edge_id):

@@ -83,6 +83,19 @@ def test_reeb_command_rejects_field_length_mismatch(runner, tmp_path):
     assert "error:" in res.stderr
 
 
+def test_reeb_command_rejects_nan_coordinates(runner, tmp_path):
+    mesh = tmp_path / "nan.off"
+    mesh.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n0 nan 0\n1 1 0\n"
+                    "3 0 1 2\n3 1 3 2\n")
+    field = tmp_path / "f.json"
+    field.write_text("[0.0, 1.0, 2.0, 3.0]")
+    res = runner.invoke(main, ["reeb", "--mesh", str(mesh), "--field",
+                               str(field), "--out", str(tmp_path / "g")])
+    assert res.exit_code == 2
+    assert "error:" in res.stderr
+    assert not (tmp_path / "g.json").exists()
+
+
 # ----------------------------------------------------------------- verify
 
 def test_verify_chain_suite(runner):

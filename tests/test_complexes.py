@@ -90,6 +90,19 @@ def test_nonpositive_length_rejected():
         SimplicialComplex(edges=[[0, 1]], lengths=[0.0], n_vertices=2)
 
 
+def test_non_finite_coords_and_lengths_rejected():
+    with pytest.raises(ValueError, match="coords must be finite"):
+        SimplicialComplex(triangles=[[0, 1, 2]],
+                          coords=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                  [0.0, np.nan, 0.0]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="lengths must be finite"):
+            SimplicialComplex(edges=[[0, 1]], lengths=[bad], n_vertices=2)
+    with pytest.raises(ValueError, match="lengths must be finite"):
+        SimplicialComplex(edges=[[0, 1]], lengths=[np.nan],
+                          coords=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+
+
 def test_supplied_length_checked_against_coords():
     with pytest.raises(ValueError, match="inconsistent with coords"):
         SimplicialComplex(edges=[[0, 1]], lengths=[2.0],
@@ -323,6 +336,25 @@ def test_contour_length_of_flat_circle():
     assert sum(len(c) for c in conts) == 2
 
 
+def test_contour_length_matches_the_oracle_polygon():
+    # each triangle crossing a contour twice adds one segment between the
+    # two crossing points; closed contours have one segment per crossing
+    cx = torus_mesh(24, 12)
+    hz = height_field(cx)
+    for level in (0.137, 1.03):
+        for cont in contours_at(cx, hz, level):
+            cross = set(cont.edge_ids.tolist())
+            want = 0.0
+            for t in range(cx.n_triangles):
+                pair = [int(e) for e in cx.triangle_edges[t] if int(e) in cross]
+                if len(pair) == 2:
+                    a, b = (oracles.crossing_point(cx, hz.values, level, e)
+                            for e in pair)
+                    want += float(np.linalg.norm(a - b))
+            assert len(cont.segments) == len(cont)
+            assert cont.length(cx) == pytest.approx(want, rel=1e-12)
+
+
 # ------------------------------------------------------------------ level scan
 
 def test_level_scan_gap_count():
@@ -343,13 +375,16 @@ def test_gap_levels_lie_inside():
 
 def test_gap_contours_match_direct_call():
     cx = torus_mesh(8, 6)
-    f = height_field(cx)
-    for gap in LevelScan(cx, f).gaps():
-        level = gap.levels(1)[0]
-        direct = contours_at(cx, f, level)
-        via = gap.contours(level)
-        assert sorted(sorted(c.edge_ids.tolist()) for c in via) \
-            == sorted(sorted(c.edge_ids.tolist()) for c in direct)
+    x, z = cx.coords[:, 0], cx.coords[:, 2]
+    # the height, and integer steps that many vertices share
+    for values in (z, np.floor(3.0 * x) + np.floor(2.0 * z)):
+        f = ScalarField(values)
+        for gap in LevelScan(cx, f).gaps():
+            level = gap.levels(1)[0]
+            comps = oracles.contour_components(cx, f.values, level)
+            via = gap.contours(level)
+            assert sorted(sorted(c.edge_ids.tolist()) for c in via) \
+                == sorted(sorted(c) for c in comps)
 
 
 def test_select_gap_indices():

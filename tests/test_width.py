@@ -7,15 +7,20 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from reebscope.complexes import ScalarField
-from reebscope.complexes.generators import disk_mesh, torus_mesh
+from reebscope.complexes.generators import (disk_mesh, generate_space,
+                                            theta_mesh, torus_mesh)
 from reebscope.complexes.simplicial import SimplicialComplex
 from reebscope.width import (TRIPOD_WIDTH, GlobalGeometry, LocalGeometry,
                              convexity_radius_bound, disk_contour_verify,
                              hemisphere_width_verify, reeb_width_global,
                              reeb_width_local, simplified_bounds,
                              sphere_chord, urysohn_volume_lower)
-from reebscope.width import _level_pieces, _unit_sphere_arc
+from reebscope.complexes.contours import label_level_sets, link_components
+from reebscope.suites import _disk_fields
+from reebscope.width import (_candidate_levels, _piece_points,
+                             _unit_sphere_arc)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -297,10 +302,10 @@ def test_disk_report_json():
 
 def _pieces(cx, values, level):
     g = np.asarray(values, dtype=float)
-    e = cx.edges
-    elo = np.minimum(g[e[:, 0]], g[e[:, 1]])
-    ehi = np.maximum(g[e[:, 0]], g[e[:, 1]])
-    return list(_level_pieces(cx, g, level, elo, ehi))
+    pieces = label_level_sets(cx, g, [level])
+    pts, onb = _piece_points(cx, g, pieces)
+    b = pieces.bounds
+    return [(pts[lo:hi], onb[lo:hi]) for lo, hi in zip(b, b[1:])]
 
 
 def test_level_piece_keeps_saddle_arms_joined():
@@ -335,6 +340,57 @@ def test_level_pieces_separate_disjoint_contours():
     saddle = xy[:, 0] ** 2 - xy[:, 1] ** 2
     pieces = _pieces(cx, saddle, -0.5)
     assert len(pieces) == 2  # two hyperbola branches
+
+
+def _oracle_candidate_levels(cx, g):
+    lower, upper = oracles.link_components(cx, g)
+    vals, counts = np.unique(g, return_counts=True)
+    cand = set(vals[counts >= 2].tolist())
+    for v in range(cx.n_vertices):
+        if cx.boundary_vertices[v] or lower[v] != 1 or upper[v] != 1:
+            cand.add(float(g[v]))
+    return sorted(cand)
+
+
+def _book(pages=3, n=5):
+    """Pages of triangle strips glued along a common spine path."""
+    coords = [[float(x), 0.0, 0.0] for x in range(n)]
+    tris = []
+    for p in range(pages):
+        ang = 2.0 * math.pi * p / pages
+        base = len(coords)
+        coords += [[float(x), math.cos(ang), math.sin(ang)] for x in range(n)]
+        for i in range(n - 1):
+            tris += [[i, i + 1, base + i], [i + 1, base + i + 1, base + i]]
+    return SimplicialComplex(triangles=tris, coords=coords)
+
+
+def _book_fields(cx):
+    xyz = cx.coords
+    off_spine = np.hypot(xyz[:, 1], xyz[:, 2])
+    return [xyz[:, 1] + 0.1 * xyz[:, 0],
+            # every page falls away from the middle of the spine, so the
+            # spine's middle vertex has three lower link components
+            0.5 * (xyz[:, 0] - 2.0) ** 2 - off_spine,
+            np.random.default_rng(3).normal(size=cx.n_vertices)]
+
+
+def test_candidate_levels_match_the_link_oracle():
+    disk = generate_space("disk", 0.05).complex
+    cases = [(disk, f.resolved_values) for _, f in _disk_fields(disk, 8, 0)]
+    book = _book()
+    cases += [(book, ScalarField(v).resolved_values)
+              for v in _book_fields(book)]
+    graph = theta_mesh(24, 6)
+    cases.append((graph, ScalarField(graph.coords[:, 0]).resolved_values))
+    assert len(cases) == 16
+    for cx, g in cases:
+        lower, upper = link_components(cx, g)
+        assert (lower.tolist(), upper.tolist()) \
+            == oracles.link_components(cx, g)
+        assert _candidate_levels(cx, g) == _oracle_candidate_levels(cx, g)
+    lower, _ = oracles.link_components(book, _book_fields(book)[1])
+    assert lower[2] == 3
 
 
 # ------------------------------------------------------ hemisphere verifier
