@@ -87,16 +87,10 @@ _BATCH_CROSSINGS = 4096
 _EDGE_COLUMN = np.array([[-1, 0, 1], [0, -1, 2], [1, 2, -1]])
 
 
-def label_level_sets(complex: SimplicialComplex, g, levels) -> LevelPieces:
-    """Label the pieces of the level sets of vertex values `g` at the
-    ascending `levels`, with one connected-components call for the batch.
-
-    For each triangle with corner values g_a <= g_b <= g_c and each level
-    strictly inside (g_a, g_c), the crossing on edge ac joins the crossing
-    on ab (level below g_b), vertex b (level at g_b) or the crossing on bc
-    (level above g_b).  The two ends of a flat edge on a level join too.
-    """
-    levels = np.asarray(levels, dtype=np.float64)
+def _level_graph(complex: SimplicialComplex, g, levels):
+    """The nodes of the level graph, crossings (edge, level index) and then
+    vertices on a level (vertex, level index), and the node pairs joined
+    inside a triangle and by a flat edge."""
     e = complex.edges
     g0, g1 = g[e[:, 0]], g[e[:, 1]]
     lo, hi = np.minimum(g0, g1), np.maximum(g0, g1)
@@ -112,6 +106,7 @@ def label_level_sets(complex: SimplicialComplex, g, levels) -> LevelPieces:
     k0, first, span = (np.zeros(complex.n_edges, dtype=np.int64)
                        for _ in range(3))
     k0[near], first[near], span[near] = near_k0, near_first, near_span
+    del near, near_k0, near_span, near_first, lo, hi
 
     near_v = np.flatnonzero((g >= levels[0]) & (g <= levels[-1]))
     vk = np.searchsorted(levels, g[near_v], side="left")
@@ -141,6 +136,22 @@ def label_level_sets(complex: SimplicialComplex, g, levels) -> LevelPieces:
                               v_node[vb]))
     joins = np.column_stack([first[ac] + step, other])
     flat_joins = v_node[e[(g0 == g1) & (v_node[e[:, 0]] >= 0)]]
+    return c_edge, c_level, v_id, vk, joins, flat_joins
+
+
+def label_level_sets(complex: SimplicialComplex, g, levels) -> LevelPieces:
+    """Label the pieces of the level sets of vertex values `g` at the
+    ascending `levels`, with one connected-components call for the batch.
+
+    For each triangle with corner values g_a <= g_b <= g_c and each level
+    strictly inside (g_a, g_c), the crossing on edge ac joins the crossing
+    on ab (level below g_b), vertex b (level at g_b) or the crossing on bc
+    (level above g_b).  The two ends of a flat edge on a level join too.
+    """
+    levels = np.asarray(levels, dtype=np.float64)
+    c_edge, c_level, v_id, vk, joins, flat_joins = _level_graph(
+        complex, g, levels)
+    n_cross = c_edge.size
 
     # number the nodes by (level, crossings before vertices, id), so that
     # the component labels, numbered by least node, order the pieces
@@ -154,6 +165,7 @@ def label_level_sets(complex: SimplicialComplex, g, levels) -> LevelPieces:
                         (both[:, 0], both[:, 1])),
                        shape=(order.size, order.size))
     n_pieces, labels = connected_components(graph, directed=False)
+    del rank, both, graph
     points = order[np.argsort(labels, kind="stable")]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(
         labels, minlength=n_pieces))])

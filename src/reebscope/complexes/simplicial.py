@@ -140,18 +140,7 @@ class SimplicialComplex:
             te[t, 2] = self._edge_index[(j, k)]
         self.triangle_edges = te
 
-        self.vertex_edges = [[] for _ in range(self.n_vertices)]
-        for e, (i, j) in enumerate(self.edges.tolist()):
-            self.vertex_edges[i].append(e)
-            self.vertex_edges[j].append(e)
-        self.edge_triangles = [[] for _ in range(self.n_edges)]
-        for t in range(self.n_triangles):
-            for e in te[t]:
-                self.edge_triangles[e].append(t)
-
-        tri_count = np.zeros(self.n_edges, dtype=np.int64)
-        for lst, e in ((self.edge_triangles[e], e) for e in range(self.n_edges)):
-            tri_count[e] = len(lst)
+        tri_count = np.bincount(te.ravel(), minlength=self.n_edges)
         self.edge_triangle_count = tri_count
         if self.n_triangles:
             self.boundary_edges = tri_count == 1
@@ -200,9 +189,8 @@ class SimplicialComplex:
 
     @property
     def is_surface(self):
-        """True when every edge lies in at most two triangles and every vertex
-        star is a single triangle fan (disk or half-disk).  Enables the local
-        regularity shortcut in the Reeb sweep."""
+        """True when every edge lies in one or two triangles and every vertex
+        star is a single triangle fan (disk or half-disk)."""
         if self._is_surface is None:
             self._is_surface = self._check_surface()
         return self._is_surface
@@ -211,6 +199,9 @@ class SimplicialComplex:
         if self.n_triangles == 0:
             return False
         if np.any(self.edge_triangle_count > 2):
+            return False
+        # an edge in no triangle is a dangling edge or an edge-only vertex
+        if np.any(self.edge_triangle_count == 0):
             return False
         # each vertex link must be one path or one cycle
         link_edges = [[] for _ in range(self.n_vertices)]
@@ -221,8 +212,6 @@ class SimplicialComplex:
         for v in range(self.n_vertices):
             pairs = link_edges[v]
             if not pairs:
-                if self.vertex_edges[v]:
-                    return False    # edge-only vertex inside a 2-complex
                 continue
             deg = {}
             for a, b in pairs:
@@ -235,9 +224,6 @@ class SimplicialComplex:
             for a, b in pairs:
                 adj.setdefault(a, []).append(b)
                 adj.setdefault(b, []).append(a)
-            if len(adj) != len({w for e in self.vertex_edges[v]
-                                for w in self.edges[e] if w != v}):
-                return False    # star edge not in any triangle
             seen = {next(iter(adj))}
             stack = [next(iter(adj))]
             while stack:
@@ -263,7 +249,7 @@ class ScalarField:
     collapsed: values closer than about 1e-12 of the field's scale snap to
     a common representative, absorbing the few ulps by which two geodesic
     sums of the same edge lengths can differ.  Exact ties are kept tied on
-    purpose; the sweep treats equal values as a single simultaneous event,
+    purpose; the Reeb builder cuts the complex at each tied value at once,
     which is what makes degenerate fields (tied saddles, plateaus) come
     out with the connectivity of their unperturbed level sets.  When the
     raw values are pairwise distinct the two arrays coincide.

@@ -1,71 +1,158 @@
-"""Reeb graph construction by an ascending level sweep.
+"""Reeb graph construction from critical values and slab components.
 
-Components of the current level set are tracked as sets of straddling
-edges.  The sweep advances one value at a time: all vertices sharing a
-value form one event and are processed simultaneously, so equal critical
-values (tied saddles, plateaus) collapse or split exactly as the level
-sets of the unperturbed field do.  Within an event, vertices and incoming
-components are grouped into the connected pieces of the level set at that
-value; a piece met by one component and leaving as one component is
-regular and keeps its growing Reeb edge, every other signature creates a
-node.  The resulting graph has no degree-2 interior nodes.
+A vertex is critical unless its lower and upper links (in the triangles
+around it) are each one component, it has no flat edge and every edge at
+it lies in a triangle: the lower-link test of Banchoff, "Critical points
+and curvature for embedded polyhedra" (1967), with the last two
+conditions keeping ties and dangling edges conservative.  Between two
+consecutive critical values no level-set component merges, splits,
+appears or vanishes, so the Reeb graph is read off the complex cut at the
+sorted distinct critical values L, as in Doraiswamy and Natarajan,
+"Output-sensitive construction of Reeb graphs" (TVCG 2012):
 
-Two facts keep the event local.  Adjacency between straddling edges is
-unchanged at the event value itself, so each surviving component acts as a
-single connectivity unit; and a component whose contour passes through a
-triangle at an event vertex is already attached to that vertex by the low
-edge of the same triangle.  Grouping therefore only needs low edges and
-flat (within-event) edges.
+* the level pieces at L come from `label_level_sets`;
+* the slab pieces, the components of the complex inside the open slabs
+  between consecutive values of L, come from one connected-components
+  call over edge parts (one per open slab an edge spans) and the
+  vertices off L;
+* each slab piece touches exactly one level piece below and one above.
+  A level piece met by one slab piece from below and one from above lies
+  inside the arc through it and is contracted; every other level piece
+  is a node.
 
-On surface meshes a single-vertex event whose lower and upper links are
-both connected is regular, which replaces the component recomputation with
-an O(star) update; everything else falls back to a flood fill over the
-affected edges, where two straddling edges are adjacent when a shared
-triangle crosses the level on exactly those two.
+A level piece holds every vertex and crossing of its level that the
+complex connects, so equal critical values (tied saddles, plateaus)
+collapse or split exactly as the level sets of the unperturbed field do.
+Nodes are numbered by (level, least vertex), so that a tied field gives
+the same graph in every process.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
+from ..complexes.contours import (_EDGE_COLUMN, label_level_sets,
+                                   link_components)
 from ..complexes.simplicial import ScalarField, SimplicialComplex
 from .graph import QuotientMap, ReebGraph
 
 
-class _Comp:
-    __slots__ = ("edges", "branch")
-
-    def __init__(self, edges, branch):
-        self.edges = edges
-        self.branch = branch
+def _components(n, a, b):
+    graph = coo_matrix((np.ones(a.size, dtype=bool), (a, b)), shape=(n, n))
+    return connected_components(graph, directed=False)
 
 
-class _Branch:
-    __slots__ = ("start", "end")
+def _critical_values(complex: SimplicialComplex, g):
+    """Sorted distinct values of the critical vertices."""
+    lower, upper = link_components(complex, g)
+    critical = (lower != 1) | (upper != 1)
+    e = complex.edges
+    loose = (g[e[:, 0]] == g[e[:, 1]]) | (complex.edge_triangle_count == 0)
+    critical[e[loose].ravel()] = True
+    return np.unique(g[critical])
 
-    def __init__(self, start):
-        self.start = start
-        self.end = None
+
+def _level_pieces(complex: SimplicialComplex, g, L):
+    """The pieces of the level sets at L: per vertex the piece it lies in
+    (-1 off L), per piece its level index and least vertex (n_vertices
+    when it holds none), and per crossing its edge, level index and
+    piece."""
+    pieces = label_level_sets(complex, g, L)
+    n_pieces = pieces.bounds.size - 1
+    piece = np.repeat(np.arange(n_pieces), np.diff(pieces.bounds))
+    at_v = pieces.on_vertex
+    v_piece = np.full(complex.n_vertices, -1, dtype=np.int64)
+    v_piece[pieces.items[at_v]] = piece[at_v]
+    least = np.full(n_pieces, complex.n_vertices, dtype=np.int64)
+    np.minimum.at(least, piece[at_v], pieces.items[at_v])
+    crossings = (pieces.items[~at_v], pieces.piece_level[piece[~at_v]],
+                 piece[~at_v])
+    return v_piece, pieces.piece_level, least, crossings
 
 
-def _link_connected(members, pairs):
-    if not members:
-        return False
-    parent = {m: m for m in members}
+def _edge_parts(complex: SimplicialComplex, g, L):
+    """Per edge: its lower and its upper end, the slab k_lo of its first
+    part, the index of its first part and its number of parts (0 when the
+    edge is flat).  Part first[e] + k - k_lo[e] is edge e inside slab k,
+    the open slab (L[k], L[k + 1])."""
+    e = complex.edges
+    rise = g[e[:, 0]] < g[e[:, 1]]
+    lo_v = np.where(rise, e[:, 0], e[:, 1])
+    hi_v = np.where(rise, e[:, 1], e[:, 0])
+    k_lo = np.searchsorted(L, g[lo_v], side="right") - 1
+    span = np.searchsorted(L, g[hi_v], side="left") - k_lo
+    return lo_v, hi_v, k_lo, np.cumsum(span) - span, span
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    comps = len(members)
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    return comps == 1
+def _slab_joins(complex: SimplicialComplex, g, parts, v_node):
+    """The element pairs joined inside the open slabs, as two int32 arrays
+    (the slab stage's peak memory is in these pairs)."""
+    lo_v, hi_v, k_lo, first, span = parts
+    # a vertex off L joins the end part of each of its edges
+    at_lo = np.flatnonzero(v_node[lo_v] >= 0)
+    at_hi = np.flatnonzero(v_node[hi_v] >= 0)
+    a = [v_node[lo_v[at_lo]].astype(np.int32),
+         v_node[hi_v[at_hi]].astype(np.int32)]
+    b = [first[at_lo].astype(np.int32),
+         (first[at_hi] + span[at_hi] - 1).astype(np.int32)]
+    del at_lo, at_hi
+    # in a triangle a <= b <= c, part (ac, k) joins (ab, k) and (bc, k)
+    te = complex.triangle_edges
+    pa, pb, pc = np.argsort(g[complex.triangles], axis=1, kind="stable").T
+    r = np.arange(te.shape[0])
+    e_ac = te[r, _EDGE_COLUMN[pa, pc]]
+    for side in (te[r, _EDGE_COLUMN[pa, pb]], te[r, _EDGE_COLUMN[pb, pc]]):
+        n_side = span[side]
+        jt = np.repeat(r, n_side)
+        step = np.arange(jt.size) - np.repeat(np.cumsum(n_side) - n_side,
+                                              n_side)
+        ac, other = e_ac[jt], side[jt]
+        a.append((first[ac] + k_lo[other] - k_lo[ac] + step)
+                 .astype(np.int32))
+        b.append((first[other] + step).astype(np.int32))
+    return np.concatenate(a), np.concatenate(b)
+
+
+def _slab_pieces(complex: SimplicialComplex, g, L, v_piece, n_lp,
+                 crossings):
+    """Label the pieces of the open slabs between consecutive values of L,
+    with one connected-components call over the edge parts and then the
+    vertices off L.  Returns per slab piece the level piece below and
+    above it, and per vertex its slab piece (-1 on L)."""
+    parts = _edge_parts(complex, g, L)
+    lo_v, hi_v, k_lo, first, span = parts
+    n_parts = int(span.sum())
+    off = np.flatnonzero(v_piece < 0)
+    v_node = np.full(complex.n_vertices, -1, dtype=np.int64)
+    v_node[off] = n_parts + np.arange(off.size)
+    n_slab, labels = _components(n_parts + off.size,
+                                 *_slab_joins(complex, g, parts, v_node))
+    del parts, v_node
+
+    # a part touches the level piece of its edge's crossing at L[k]
+    # (L[k + 1]) or, at the edge's end, the piece of a vertex on L
+    below = np.full(n_parts, -1, dtype=np.int64)
+    above = np.full(n_parts, -1, dtype=np.int64)
+    c_edge, c_level, c_piece = crossings
+    at = first[c_edge] + c_level - k_lo[c_edge]
+    below[at] = c_piece
+    above[at - 1] = c_piece
+    tilted = span > 0
+    below[first[tilted]] = v_piece[lo_v[tilted]]
+    above[(first + span - 1)[tilted]] = v_piece[hi_v[tilted]]
+    ends = []
+    for touch in (below, above):
+        hit = np.flatnonzero(touch >= 0)
+        pairs = np.unique(labels[hit] * np.int64(n_lp) + touch[hit])
+        if not np.array_equal(pairs // n_lp, np.arange(n_slab)):
+            raise AssertionError("a slab piece does not touch exactly one "
+                                 "level piece below and one above")
+        ends.append(pairs % n_lp)
+    v_slab = np.full(complex.n_vertices, -1, dtype=np.int64)
+    v_slab[off] = labels[n_parts:]
+    return ends[0], ends[1], v_slab
 
 
 def build_reeb(complex: SimplicialComplex, field: ScalarField):
@@ -74,202 +161,48 @@ def build_reeb(complex: SimplicialComplex, field: ScalarField):
         raise ValueError("field does not match complex")
     g = field.resolved_values
     n = complex.n_vertices
-    order = np.argsort(g, kind="stable")
-    sv = g[order]
-    starts = np.flatnonzero(np.concatenate([[True], np.diff(sv) > 0])) \
-        if n else np.empty(0, dtype=np.int64)
-    bounds = np.append(starts, n)
+    if n == 0:
+        return ReebGraph([], []), QuotientMap([], g)
+    L = _critical_values(complex, g)
+    v_piece, piece_level, least, crossings = _level_pieces(complex, g, L)
+    n_lp = piece_level.size
+    below, above, v_slab = _slab_pieces(complex, g, L, v_piece, n_lp,
+                                        crossings)
+    del crossings
 
-    # the flood below reads single entries millions of times, and
-    # memoryviews return them as Python scalars, far faster than numpy
-    processed = memoryview(np.zeros(n, dtype=bool))
-    edges_arr = complex.edges
-    ends = memoryview(edges_arr)
-    vtx_edges = complex.vertex_edges
-    edge_tris = complex.edge_triangles
-    tri_edges = memoryview(complex.triangle_edges)
-    use_links = complex.is_surface
-    vertex_tris = None
-    if use_links:
-        vertex_tris = [[] for _ in range(n)]
-        for t, (i, j, k) in enumerate(complex.triangles.tolist()):
-            vertex_tris[i].append(t)
-            vertex_tris[j].append(t)
-            vertex_tris[k].append(t)
+    # contract the level pieces with one arc in and one arc out
+    n_sp = below.size
+    slab_in = np.full(n_lp, -1, dtype=np.int64)
+    slab_out = np.full(n_lp, -1, dtype=np.int64)
+    slab_in[above] = np.arange(n_sp)
+    slab_out[below] = np.arange(n_sp)
+    through = (np.bincount(above, minlength=n_lp) == 1) \
+        & (np.bincount(below, minlength=n_lp) == 1)
+    n_arcs, arc = _components(n_sp, slab_in[through], slab_out[through])
+    node = np.flatnonzero(~through)
+    node = node[np.lexsort((least[node], piece_level[node]))]
+    node_id = np.full(n_lp, -1, dtype=np.int64)
+    node_id[node] = np.arange(node.size)
+    arc_ends = np.zeros((n_arcs, 2), dtype=np.int64)
+    starts = node_id[below] >= 0
+    arc_ends[arc[starts], 0] = node_id[below[starts]]
+    stops = node_id[above] >= 0
+    arc_ends[arc[stops], 1] = node_id[above[stops]]
+    graph = ReebGraph(
+        [(float(L[piece_level[p]]), int(least[p]) if least[p] < n else None)
+         for p in node.tolist()],
+        [tuple(pair) for pair in arc_ends.tolist()])
 
-    edge2comp = {}
-    branches = []
-    nodes = []
-    qpoints = [None] * n
-
-    def straddles(e):
-        return processed[ends[e, 0]] != processed[ends[e, 1]]
-
-    def flood(pool):
-        """Partition `pool` into contour components one gap above the
-        event; adjacency is a shared triangle cut on exactly two edges."""
-        groups = []
-        unvisited = set(pool)
-        while unvisited:
-            start = unvisited.pop()
-            group = {start}
-            stack = [start]
-            while stack:
-                e = stack.pop()
-                for t in edge_tris[e]:
-                    cut = [x for x in (tri_edges[t, 0], tri_edges[t, 1],
-                                       tri_edges[t, 2]) if straddles(x)]
-                    if not cut:
-                        continue
-                    if len(cut) != 2:
-                        raise AssertionError("level crosses a triangle on "
-                                             f"{len(cut)} edges")
-                    partner = cut[1] if cut[0] == e else cut[0]
-                    if partner not in pool:
-                        raise AssertionError("contour escaped its event")
-                    if partner in unvisited:
-                        unvisited.discard(partner)
-                        group.add(partner)
-                        stack.append(partner)
-            groups.append(group)
-        return groups
-
-    for ci in range(starts.shape[0]):
-        cluster = [int(v) for v in order[bounds[ci]:bounds[ci + 1]]]
-        level = float(sv[bounds[ci]])
-
-        if len(cluster) == 1 and use_links:
-            v = cluster[0]
-            low, up = [], []
-            for e in vtx_edges[v]:
-                i, j = edges_arr[e]
-                w = j if i == v else i
-                (low if processed[w] else up).append(e)
-            if low and up:
-                lo_m, hi_m, lo_p, hi_p = set(), set(), [], []
-                for e in low:
-                    i, j = edges_arr[e]
-                    lo_m.add(j if i == v else i)
-                for e in up:
-                    i, j = edges_arr[e]
-                    hi_m.add(j if i == v else i)
-                for t in vertex_tris[v]:
-                    a, b = (int(x) for x in complex.triangles[t] if x != v)
-                    if processed[a] and processed[b]:
-                        lo_p.append((a, b))
-                    elif not processed[a] and not processed[b]:
-                        hi_p.append((a, b))
-                if _link_connected(lo_m, lo_p) and _link_connected(hi_m, hi_p):
-                    processed[v] = True
-                    comp = edge2comp[low[0]]
-                    comp.edges.difference_update(low)
-                    comp.edges.update(up)
-                    for e in low:
-                        del edge2comp[e]
-                    for e in up:
-                        edge2comp[e] = comp
-                    qpoints[v] = ("edge", comp.branch, level)
-                    continue
-
-        cset = set(cluster)
-        low_pairs = []   # (edge, cluster vertex) from below
-        up_pairs = []    # (edge, cluster vertex) to above
-        flat_pairs = []  # (u, v) within the event
-        for u in cluster:
-            for e in vtx_edges[u]:
-                i, j = edges_arr[e]
-                w = j if i == u else i
-                if w in cset:
-                    if w > u:
-                        flat_pairs.append((u, w))
-                elif processed[w]:
-                    low_pairs.append((e, u))
-                else:
-                    up_pairs.append((e, u))
-        for u in cluster:
-            processed[u] = True
-
-        # group cluster vertices and incoming components into the
-        # connected pieces of the level set at the event value
-        parent = {u: u for u in cluster}
-        comp_of = {}
-        for e, _ in low_pairs:
-            c = edge2comp[e]
-            if id(c) not in comp_of:
-                comp_of[id(c)] = c
-                parent[id(c)] = id(c)
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for e, u in low_pairs:
-            union(u, id(edge2comp[e]))
-        for u, w in flat_pairs:
-            union(u, w)
-
-        verts_of = {}
-        for u in cluster:
-            verts_of.setdefault(find(u), []).append(u)
-        comps_of = {}
-        for key, c in comp_of.items():
-            comps_of.setdefault(find(key), []).append(c)
-
-        low_edges = {e for e, _ in low_pairs}
-        up_of = {}
-        for e, u in up_pairs:
-            up_of.setdefault(find(u), []).append(e)
-
-        for root in set(verts_of) | set(comps_of):
-            verts = verts_of.get(root, [])
-            in_comps = comps_of.get(root, [])
-            pool = set(up_of.get(root, []))
-            for c in in_comps:
-                pool.update(c.edges)
-            pool.difference_update(low_edges)
-            groups = flood(pool)
-
-            if len(in_comps) == 1 and len(groups) == 1:
-                comp = in_comps[0]
-                comp.edges = groups[0]
-                for e, _ in low_pairs:
-                    if edge2comp.get(e) is comp:
-                        del edge2comp[e]
-                for e in groups[0]:
-                    edge2comp[e] = comp
-                for u in verts:
-                    qpoints[u] = ("edge", comp.branch, level)
-                continue
-
-            nid = len(nodes)
-            nodes.append((level, min(verts) if verts else None))
-            for u in verts:
-                qpoints[u] = ("node", nid)
-            for c in in_comps:
-                branches[c.branch].end = nid
-                for e in c.edges:
-                    if e in low_edges:
-                        del edge2comp[e]
-            for group in groups:
-                bid = len(branches)
-                branches.append(_Branch(nid))
-                comp = _Comp(group, bid)
-                for e in group:
-                    edge2comp[e] = comp
-
-    if edge2comp:
-        raise AssertionError("sweep finished with live level-set components")
-    open_branches = [b for b in branches if b.end is None]
-    if open_branches:
-        raise AssertionError("sweep finished with open Reeb edges")
-
-    graph = ReebGraph(nodes, [(b.start, b.end) for b in branches])
-    qmap = QuotientMap(qpoints, g)
-    return graph, qmap
+    # a vertex lands on its node, or at its value on the arc through its
+    # level piece or slab piece
+    piece_target = node_id.copy()
+    piece_target[through] = arc[slab_in[through]]
+    on_level = v_piece >= 0
+    where = np.empty(n, dtype=np.int64)
+    where[~on_level] = arc[v_slab[~on_level]]
+    where[on_level] = piece_target[v_piece[on_level]]
+    on_node = on_level & (node_id[v_piece] >= 0)
+    qpoints = [("node", w) if at_node else ("edge", w, level)
+               for at_node, w, level in zip(on_node.tolist(), where.tolist(),
+                                            g.tolist())]
+    return graph, QuotientMap(qpoints, g)

@@ -7,16 +7,18 @@ bounded by the two neighboring sample levels.  The slab of one event is
 the part of the complex between those levels; its connected pieces are
 found by a union-find over every vertex, edge and triangle part inside,
 which is valid because a linear function cuts a convex slice out of each
-simplex.  A slab piece met by one contour from below and one from above
-is a strand passing through; any other signature is a node.  Quadratic in
-the complex size, only meant for small inputs.
+simplex.  The gap contours come from the same union-find on the slab of
+zero width at the sample level, where two crossing edges join when a
+triangle is cut on both, so no labelling code is shared with
+`build_reeb`.  A slab piece met by one contour from below and one from
+above is a strand passing through; any other signature is a node.
+Quadratic in the complex size, only meant for small inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..complexes.contours import contours_at
 from ..complexes.simplicial import ScalarField, SimplicialComplex
 from .graph import ReebGraph
 
@@ -86,8 +88,11 @@ def reeb_oracle(complex: SimplicialComplex, field: ScalarField) -> ReebGraph:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             raise AssertionError("values too close to sample between")
-        return [frozenset(int(e) for e in c.edge_ids)
-                for c in contours_at(complex, field, float(mid))]
+        uf = _slab_pieces(complex, g, mid, mid)
+        groups = {}
+        for item in uf.parent:
+            groups.setdefault(uf.find(item), set()).add(item[1])
+        return [frozenset(es) for es in groups.values()]
 
     nodes = []
     strands = []

@@ -11,7 +11,9 @@ import pytest
 from click.testing import CliRunner
 
 from reebscope.cli import main
-from reebscope.complexes.generators import disk_mesh, theta_mesh, torus_mesh
+from reebscope.complexes.generators import (disk_mesh, genus_mesh,
+                                            random_smooth_field, theta_mesh,
+                                            torus_mesh)
 from reebscope.complexes.io import save_complex, save_field
 from reebscope.complexes.simplicial import ScalarField
 
@@ -94,6 +96,59 @@ def test_reeb_command_rejects_nan_coordinates(runner, tmp_path):
     assert res.exit_code == 2
     assert "error:" in res.stderr
     assert not (tmp_path / "g.json").exists()
+
+
+def _reeb_process(mesh, field, out):
+    """Run `reebscope reeb` in a fresh process; its stdout document."""
+    res = subprocess.run([sys.executable, "-m", "reebscope.cli", "reeb",
+                          "--mesh", str(mesh), "--field", str(field),
+                          "--out", str(out)], capture_output=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+def test_reeb_command_is_reproducible_across_processes_on_ties(tmp_path):
+    # an integer field has tied critical values, whose nodes must still
+    # come out in the same order in every process
+    cx = torus_mesh(8, 4)
+    mesh, field = tmp_path / "torus.off", tmp_path / "tied.json"
+    save_complex(cx, mesh)
+    values = np.random.default_rng(8).integers(0, 4, cx.n_vertices)
+    save_field(ScalarField(values.astype(float)), field)
+    files = []
+    for run in ("a", "b"):
+        _reeb_process(mesh, field, tmp_path / run)
+        files.append(((tmp_path / f"{run}.json").read_bytes(),
+                      (tmp_path / f"{run}.dot").read_bytes()))
+    assert files[0] == files[1]
+
+
+def test_reeb_command_on_a_genus_three_mesh(tmp_path):
+    # the shape of the benchmark's mesh workload, at a few thousand vertices
+    cx = genus_mesh(3, 40, 20)
+    assert 2000 <= cx.n_vertices <= 5000
+    f = random_smooth_field(cx, np.random.default_rng(3), waves=4,
+                            freq=3.0)
+    g = f.resolved_values
+    assert np.unique(g).size == g.size
+    mesh, field = tmp_path / "genus3.off", tmp_path / "smooth.json"
+    save_complex(cx, mesh)
+    save_field(f, field)
+    doc = _reeb_process(mesh, field, tmp_path / "graph")
+    assert doc["cycle_rank"] == 3
+    graph = json.loads((tmp_path / "graph.json").read_text())
+    degree = np.bincount(np.asarray(graph["edges"]).ravel(),
+                         minlength=len(graph["nodes"]))
+    # a vertex is an extremum when all its neighbours lie on one side
+    up = np.zeros(cx.n_vertices, dtype=int)
+    down = np.zeros(cx.n_vertices, dtype=int)
+    for a, b in cx.edges.tolist():
+        lo, hi = (a, b) if g[a] < g[b] else (b, a)
+        up[lo] += 1
+        down[hi] += 1
+    extrema = int(np.sum((up == 0) | (down == 0)))
+    assert extrema >= 2
+    assert int(np.sum(degree == 1)) == extrema
 
 
 # ----------------------------------------------------------------- verify

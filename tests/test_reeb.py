@@ -1,5 +1,7 @@
-"""Reeb graphs: sweep construction against the slab oracle, quotient map
+"""Reeb graphs: the builder against the slab oracle, quotient map
 contracts, graph metric, canonical forms."""
+
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from reebscope.complexes.generators import (circle_mesh, disk_mesh,
 from reebscope.complexes.simplicial import SimplicialComplex
 from reebscope.reeb import (ReebGraph, build_reeb, cycle_rank, isomorphic,
                             reeb_metric, reeb_oracle)
+from test_width import _book
 
 
 def small_fixtures():
@@ -56,6 +59,56 @@ def test_build_matches_oracle_on_tied_random_fields():
         ref = reeb_oracle(cx, f)
         assert isomorphic(graph, ref, with_levels=True), \
             f"trial {trial} on {cx.name}"
+
+
+def _joined(a, b):
+    """The disjoint union of two embedded complexes."""
+    n = a.n_vertices
+    return SimplicialComplex(edges=np.vstack([a.edges, b.edges + n]),
+                             triangles=np.vstack([a.triangles,
+                                                  b.triangles + n]),
+                             coords=np.vstack([a.coords, b.coords]))
+
+
+def _hourglass(k=6):
+    """Two cones, one below and one above, sharing their apex: under the
+    height the apex is regular although its link has two components."""
+    ring = [[math.cos(2 * math.pi * i / k), math.sin(2 * math.pi * i / k)]
+            for i in range(k)]
+    coords = [[0.0, 0.0, 0.0]] + [p + [-1.0] for p in ring] \
+        + [p + [1.0] for p in ring]
+    tris = [[0, 1 + i, 1 + (i + 1) % k] for i in range(k)] \
+        + [[0, 1 + k + i, 1 + k + (i + 1) % k] for i in range(k)]
+    return SimplicialComplex(triangles=tris, coords=coords)
+
+
+def mixed_complexes():
+    """Complexes that are not surfaces, or not connected, or empty."""
+    dangling = SimplicialComplex(
+        edges=[[2, 3]], triangles=[[0, 1, 2]],
+        coords=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                [0.0, 2.0, 0.0], [3.0, 3.0, 0.0]])
+    return [_book(), dangling, _joined(uv_sphere_mesh(4, 8), circle_mesh(6)),
+            theta_mesh(8, 3), _hourglass(),
+            SimplicialComplex(edges=None, lengths=np.zeros(0), n_vertices=0)]
+
+
+def test_build_matches_oracle_on_mixed_complexes():
+    rng = np.random.default_rng(8)
+    for cx in mixed_complexes():
+        fields = [ScalarField(rng.integers(0, 4, cx.n_vertices).astype(float))
+                  for _ in range(12)]
+        fields.append(ScalarField(np.full(cx.n_vertices, 1.5)))
+        if cx.n_vertices:
+            fields.append(ScalarField(cx.coords[:, 2]))
+        for f in fields:
+            graph, qmap = build_reeb(cx, f)
+            assert isomorphic(graph, reeb_oracle(cx, f), with_levels=True), \
+                f"{cx!r} with {f.values.tolist()}"
+            _check_quotient_map(cx, f, graph, qmap)
+            keys = list(zip(graph.levels.tolist(), graph.vertices))
+            assert keys == sorted(keys), "nodes not numbered by " \
+                "(level, least vertex)"
 
 
 def test_build_matches_oracle_on_canonical_fields():
@@ -142,6 +195,10 @@ def test_quotient_map_points_are_consistent():
     cx = torus_mesh(8, 4)
     f = height_field(cx)
     graph, qmap = build_reeb(cx, f)
+    _check_quotient_map(cx, f, graph, qmap)
+
+
+def _check_quotient_map(cx, f, graph, qmap):
     assert len(qmap) == cx.n_vertices
     for v in range(cx.n_vertices):
         pt = qmap.point(v)
