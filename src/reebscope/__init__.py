@@ -9,12 +9,10 @@ from .metric import (BoundReport, MorseBoundParams, bound_ratio,
                      composed_intermediate_bound, distance_function_bound,
                      distortion, gh_delta_bounds, intermediate_bounds,
                      max_contour_diameter, morse_bound_B, thickness)
-from .reeb import (QuotientMap, ReebGraph, build_reeb, cycle_rank,
-                   isomorphic, reeb_metric, reeb_oracle)
+from .reeb import QuotientMap, ReebGraph, build_reeb, isomorphic, reeb_oracle
 from .spaces import (Base, ConnSum, InvariantRecord, Product,
                      UnionSimplyConnectedIntersection, Wedge, base_table,
-                     chain_check, corank_eval, evaluate, h_bounds,
-                     isotropy_eval, parse_space)
+                     chain_check, evaluate, h_bounds, parse_space)
 from .width import (GlobalGeometry, LocalGeometry, convexity_radius_bound,
                     disk_contour_verify, hemisphere_width_verify,
                     reeb_width_global, reeb_width_local, simplified_bounds,

@@ -17,7 +17,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .simplicial import NonGenericLevelError, ScalarField, SimplicialComplex
+from .simplicial import (NonGenericLevelError, ScalarField, SimplicialComplex,
+                         link_components)
 from .geodesic import vertex_distances
 
 
@@ -234,36 +235,12 @@ def contours_at(complex: SimplicialComplex, field: ScalarField, level: float):
                           0, level)
 
 
-def link_components(complex: SimplicialComplex, g):
-    """Per vertex v: the number of components of its lower link and of
-    its upper link.
-
-    The link of v is the graph of the edges opposite v in the triangles
-    around it; its lower (upper) part is the subgraph induced on the link
-    vertices below (above) g[v].  All links are labelled together, with
-    one connected-components call over (vertex, link vertex) nodes.
-    """
-    n = complex.n_vertices
-    tri = complex.triangles
-    centre = tri.ravel()
-    ends = tri[:, [[1, 2], [0, 2], [0, 1]]].reshape(-1, 2)
-    key = np.concatenate([centre, centre]) * n + ends.T.ravel()
-    nodes, node_of = np.unique(key, return_inverse=True)
-    v, w = nodes // n, nodes % n
-    side = np.sign(g[w] - g[v])
-    a, b = node_of[:centre.size], node_of[centre.size:]
-    same = side[a] == side[b]
-    graph = coo_matrix((np.ones(int(same.sum()), dtype=bool),
-                        (a[same], b[same])), shape=(nodes.size, nodes.size))
-    _, labels = connected_components(graph, directed=False)
-    rep = np.unique(labels, return_index=True)[1]
-    lower = np.bincount(v[rep][side[rep] < 0], minlength=n)
-    upper = np.bincount(v[rep][side[rep] > 0], minlength=n)
-    return lower, upper
-
-
-def contour_count_at(complex, field, level) -> int:
-    return len(contours_at(complex, field, level))
+def crossing_geometry(complex: SimplicialComplex, contour: Contour):
+    """Per crossing of a contour: the ends of its edge, and its distances
+    along the edge to the lower-id end and to the other end."""
+    ends = complex.edges[contour.edge_ids]
+    lens = complex.lengths[contour.edge_ids]
+    return ends, contour.params * lens, (1.0 - contour.params) * lens
 
 
 def contour_diameter(complex: SimplicialComplex, contour: Contour,
@@ -283,16 +260,10 @@ def contour_diameter(complex: SimplicialComplex, contour: Contour,
     if mode != "intrinsic":
         raise ValueError(f"unknown mode {mode!r}")
 
-    ends = complex.edges[contour.edge_ids]
-    lens = complex.lengths[contour.edge_ids]
-    off_lo = contour.params * lens
-    off_hi = (1.0 - contour.params) * lens
-
+    ends, off_lo, off_hi = crossing_geometry(complex, contour)
     verts = np.unique(ends)
     sub = vertex_distances(complex, verts)[:, verts]
-    vidx = {int(v): i for i, v in enumerate(verts)}
-    lo = np.fromiter((vidx[int(v)] for v in ends[:, 0]), np.int64, n)
-    hi = np.fromiter((vidx[int(v)] for v in ends[:, 1]), np.int64, n)
+    lo, hi = np.searchsorted(verts, ends).T
 
     best = 0.0
     for start in range(0, n, block):

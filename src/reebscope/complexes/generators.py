@@ -12,7 +12,7 @@ Conventions worth knowing:
   vertices are removed and the hexagonal holes joined by a 12-triangle tube.
   Height keeps one min, one max and 2g saddles.
 * Disk and hemisphere are rings of 8k resp. 6k vertices; ring ids are
-  consecutive around each ring, so value plateaus perturb into contiguous
+  consecutive around each ring, so value plateaus form contiguous
   arcs.  Hemisphere ring counts are multiples of 6, which puts the three
   tripod meridians (azimuth 0, 2π/3, 4π/3) exactly on mesh edges.
 * The flat torus is metric-only (no coordinates): an N×N grid with wrapped

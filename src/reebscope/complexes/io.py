@@ -60,48 +60,63 @@ def _read_off(path: Path) -> SimplicialComplex:
             tokens.extend(line.split())
     if not tokens or tokens[0].upper() != "OFF":
         raise ValueError(f"{path}: not an OFF file")
-    pos = 1
-    nv, nf = int(tokens[pos]), int(tokens[pos + 1])
-    pos += 3
-    coords = np.array(tokens[pos:pos + 3 * nv], dtype=float).reshape(nv, 3)
-    pos += 3 * nv
-    tris = []
-    for _ in range(nf):
-        cnt = int(tokens[pos])
-        if cnt != 3:
-            raise ValueError(f"{path}: only triangle faces supported")
-        tris.append([int(t) for t in tokens[pos + 1:pos + 4]])
-        pos += 1 + cnt
-    return SimplicialComplex(triangles=tris, coords=coords, name=path.stem)
+    if len(tokens) < 4:
+        raise ValueError(f"{path}: truncated OFF header")
+    nv, nf = int(tokens[1]), int(tokens[2])
+    coords = np.array(tokens[4:4 + 3 * nv], dtype=float)
+    if coords.size < 3 * nv:
+        raise ValueError(f"{path}: truncated OFF vertex list")
+    # each face is a count, 3, and three vertex ids
+    faces = tokens[4 + 3 * nv:4 + 3 * nv + 4 * nf]
+    if np.any(np.array(faces[::4], dtype=np.int64) != 3):
+        raise ValueError(f"{path}: only triangle faces supported")
+    if len(faces) < 4 * nf:
+        raise ValueError(f"{path}: truncated OFF face list")
+    tris = np.array(faces, dtype=np.int64).reshape(-1, 4)[:, 1:]
+    return SimplicialComplex(triangles=tris, coords=coords.reshape(nv, 3),
+                             name=path.stem)
 
 
 def _read_json(path: Path) -> SimplicialComplex:
     doc = json.loads(path.read_text())
-    tris = doc.get("triangles") or None
-    edges_raw = doc.get("edges") or []
-    if "vertices" in doc:
-        return SimplicialComplex(
-            edges=[e[:2] for e in edges_raw] or None, triangles=tris,
-            coords=np.asarray(doc["vertices"], dtype=float), name=path.stem)
-    if "n_vertices" not in doc:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: JSON mesh must be an object")
+    if "vertices" not in doc and "n_vertices" not in doc:
         raise ValueError(f"{path}: JSON mesh needs 'vertices' or "
                          f"'n_vertices'")
-    if any(len(e) != 3 for e in edges_raw):
-        raise ValueError(f"{path}: metric-only edges need [i, j, length]")
-    return SimplicialComplex(
-        edges=[e[:2] for e in edges_raw],
-        lengths=[e[2] for e in edges_raw], triangles=tris,
-        n_vertices=int(doc["n_vertices"]), name=path.stem)
+    rows = doc.get("edges") or []
+    try:
+        tris = np.asarray(doc.get("triangles") or [], dtype=np.int64)
+        if "vertices" in doc:
+            coords = np.asarray(doc["vertices"], dtype=float)
+        elif any(len(e) != 3 for e in rows):
+            raise ValueError(f"{path}: metric-only edges need [i, j, length]")
+        else:
+            n_vertices = int(doc["n_vertices"])
+            lengths = np.asarray([e[2] for e in rows], dtype=float)
+        edges = np.asarray([e[:2] for e in rows], dtype=np.int64)
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed JSON mesh ({exc})") from None
+    if "vertices" in doc:
+        return SimplicialComplex(edges=edges, triangles=tris, coords=coords,
+                                 name=path.stem)
+    return SimplicialComplex(edges=edges, lengths=lengths, triangles=tris,
+                             n_vertices=n_vertices, name=path.stem)
 
 
 def load_field(path, n_vertices=None) -> ScalarField:
     path = Path(path)
     text = path.read_text()
-    if path.suffix.lower() == ".json":
-        field = ScalarField(np.asarray(json.loads(text), dtype=float))
-    else:
-        vals = [float(line) for line in text.splitlines() if line.strip()]
-        field = ScalarField(np.asarray(vals))
+    try:
+        if path.suffix.lower() == ".json":
+            vals = json.loads(text)
+            if not isinstance(vals, list):
+                raise ValueError("a JSON field must be an array of numbers")
+        else:
+            vals = [float(line) for line in text.splitlines() if line.strip()]
+        field = ScalarField(np.asarray(vals, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if n_vertices is not None and len(field) != n_vertices:
         raise ValueError(f"{path}: field has {len(field)} values "
                          f"for a mesh with {n_vertices} vertices")

@@ -6,9 +6,8 @@ which case edge lengths are the Euclidean distances; metric-only complexes
 (e.g. the flat torus) carry explicit lengths and no coordinates.
 
 A scalar field is one real value per vertex, extended linearly over edges and
-triangles.  Genericity (pairwise distinct vertex values) is enforced by a
-lexicographic perturbation with vertex id as tie-break, realized as actual
-floats so that every consumer shares one consistent order.
+triangles.  Vertex values need not be distinct: exact ties are kept, and only
+near-ties from float noise are snapped to one value (`resolved_values`).
 """
 
 from __future__ import annotations
@@ -66,21 +65,23 @@ class SimplicialComplex:
             n_vertices = self.coords.shape[0]
         if n_vertices is None:
             raise ValueError("need coords or an explicit n_vertices")
-        self.n_vertices = int(n_vertices)
+        self.n_vertices = n = int(n_vertices)
 
         tri = _as_int_rows(triangles, 3, "triangles")
         if tri.size:
-            if tri.min() < 0 or tri.max() >= self.n_vertices:
+            if tri.min() < 0 or tri.max() >= n:
                 raise ValueError("triangle vertex index out of range")
             tri = np.sort(tri, axis=1)
             if np.any(tri[:, 0] == tri[:, 1]) or np.any(tri[:, 1] == tri[:, 2]):
                 raise ValueError("degenerate triangle (repeated vertex)")
-            tri = np.unique(tri, axis=0)
+            tri = tri[np.lexsort(tri.T[::-1])]
+            tri = tri[np.concatenate([[True], np.any(tri[1:] != tri[:-1],
+                                                     axis=1)])]
         self.triangles = tri
 
         given = _as_int_rows(edges, 2, "edges")
         if given.size:
-            if given.min() < 0 or given.max() >= self.n_vertices:
+            if given.min() < 0 or given.max() >= n:
                 raise ValueError("edge vertex index out of range")
             if np.any(given[:, 0] == given[:, 1]):
                 raise ValueError("degenerate edge (repeated vertex)")
@@ -92,69 +93,53 @@ class SimplicialComplex:
             if not np.all(np.isfinite(lengths)):
                 raise ValueError("edge lengths must be finite")
 
-        tri_pairs = np.vstack([tri[:, [0, 1]], tri[:, [0, 2]], tri[:, [1, 2]]]) \
-            if tri.size else np.zeros((0, 2), dtype=np.int64)
-
+        # edge (i, j), i < j, has the key i*V + j; a triangle's edges are
+        # (ij, ik, jk), the column order of triangle_edges
+        given_keys = given_sorted[:, 0] * n + given_sorted[:, 1]
+        tri_keys = tri[:, [0, 0, 1]] * n + tri[:, [1, 2, 2]]
         if self.coords is None:
             if lengths is None:
                 raise ValueError("metric-only complexes need explicit lengths")
             self.edges = given_sorted
             self.lengths = lengths
-            known = {tuple(e) for e in self.edges.tolist()}
-            for e in {tuple(p) for p in tri_pairs.tolist()}:
-                if e not in known:
-                    raise ValueError(f"triangle edge {e} missing from edge list")
+            self._index_edges(given_keys)
+            te = self._edge_ids(tri_keys)
+            if np.any(te < 0):
+                i, j = divmod(int(tri_keys[te < 0][0]), n)
+                raise ValueError(f"triangle edge {(i, j)} missing from edge "
+                                 f"list")
+            if np.any(np.diff(self._keys) == 0):
+                raise ValueError("duplicate edge")
         else:
-            all_edges = np.vstack([given_sorted, tri_pairs]) if tri_pairs.size \
-                else given_sorted
-            if all_edges.size == 0:
-                self.edges = np.zeros((0, 2), dtype=np.int64)
-            else:
-                self.edges = np.unique(all_edges, axis=0)
-            d = self.coords[self.edges[:, 0]] - self.coords[self.edges[:, 1]] \
-                if self.edges.size else np.zeros((0, 3))
+            keys = np.unique(np.concatenate([given_keys, tri_keys.ravel()]))
+            self.edges = np.column_stack([keys // n, keys % n])
+            d = self.coords[self.edges[:, 0]] - self.coords[self.edges[:, 1]]
             self.lengths = np.linalg.norm(d, axis=1)
+            self._index_edges(keys)
+            te = self._edge_ids(tri_keys)
             if lengths is not None:
                 # caller supplied lengths for the explicit edges: check them
-                idx = {tuple(e): i for i, e in enumerate(self.edges.tolist())}
-                for row, ln in zip(given_sorted.tolist(), lengths):
-                    ref = self.lengths[idx[tuple(row)]]
-                    if abs(ln - ref) > COORD_LENGTH_RTOL * max(1.0, ref):
-                        raise ValueError("edge length inconsistent with coords")
-
-        if self.edges.size:
-            uniq = np.unique(self.edges, axis=0)
-            if uniq.shape[0] != self.edges.shape[0]:
-                raise ValueError("duplicate edge")
+                ref = self.lengths[self._edge_ids(given_keys)]
+                if np.any(np.abs(lengths - ref)
+                          > COORD_LENGTH_RTOL * np.maximum(1.0, ref)):
+                    raise ValueError("edge length inconsistent with coords")
         if np.any(self.lengths <= 0):
             raise ValueError("edge lengths must be strictly positive")
 
         self.n_edges = self.edges.shape[0]
         self.n_triangles = self.triangles.shape[0]
-        self._edge_index = {tuple(e): i for i, e in enumerate(self.edges.tolist())}
-
-        te = np.zeros((self.n_triangles, 3), dtype=np.int64)
-        for t, (i, j, k) in enumerate(self.triangles.tolist()):
-            te[t, 0] = self._edge_index[(i, j)]
-            te[t, 1] = self._edge_index[(i, k)]
-            te[t, 2] = self._edge_index[(j, k)]
         self.triangle_edges = te
-
-        tri_count = np.bincount(te.ravel(), minlength=self.n_edges)
-        self.edge_triangle_count = tri_count
+        self.edge_triangle_count = np.bincount(te.ravel(),
+                                               minlength=self.n_edges)
         if self.n_triangles:
-            self.boundary_edges = tri_count == 1
-            self.boundary_vertices = np.zeros(self.n_vertices, dtype=bool)
-            for e in np.flatnonzero(self.boundary_edges):
-                self.boundary_vertices[self.edges[e]] = True
+            self.boundary_edges = self.edge_triangle_count == 1
+            self.boundary_vertices = np.zeros(n, dtype=bool)
+            self.boundary_vertices[self.edges[self.boundary_edges]] = True
         else:
             # for pure graphs the natural boundary is the set of leaves
-            deg = np.zeros(self.n_vertices, dtype=np.int64)
-            for i, j in self.edges.tolist():
-                deg[i] += 1
-                deg[j] += 1
             self.boundary_edges = np.zeros(self.n_edges, dtype=bool)
-            self.boundary_vertices = deg == 1
+            self.boundary_vertices = np.bincount(self.edges.ravel(),
+                                                 minlength=n) == 1
 
         self.component_labels = self._components()
         self.n_components = int(self.component_labels.max()) + 1 \
@@ -165,6 +150,18 @@ class SimplicialComplex:
 
     # ------------------------------------------------------------------
 
+    def _index_edges(self, keys):
+        """Sort the edge keys for `_edge_ids`, with a sentinel above every
+        key at the end."""
+        order = np.argsort(keys, kind="stable")
+        self._keys = np.append(keys[order], self.n_vertices ** 2)
+        self._key_edge = np.append(order, -1)
+
+    def _edge_ids(self, keys):
+        """Edge id of each key i*V + j (i < j), -1 where there is no edge."""
+        pos = np.searchsorted(self._keys, keys)
+        return np.where(self._keys[pos] == keys, self._key_edge[pos], -1)
+
     def _components(self):
         """Component label per vertex, numbered by least vertex."""
         ones = np.ones(self.n_edges, dtype=bool)
@@ -173,7 +170,12 @@ class SimplicialComplex:
         return connected_components(graph, directed=False)[1].astype(np.int64)
 
     def edge_id(self, i, j):
-        return self._edge_index[(i, j) if i < j else (j, i)]
+        i, j = min(i, j), max(i, j)
+        e = int(self._edge_ids(i * self.n_vertices + j)) \
+            if 0 <= i < j < self.n_vertices else -1
+        if e < 0:
+            raise KeyError((i, j))
+        return e
 
     @property
     def adjacency(self):
@@ -192,54 +194,51 @@ class SimplicialComplex:
         """True when every edge lies in one or two triangles and every vertex
         star is a single triangle fan (disk or half-disk)."""
         if self._is_surface is None:
-            self._is_surface = self._check_surface()
+            count = self.edge_triangle_count
+            self._is_surface = bool(
+                self.n_triangles and np.all((count >= 1) & (count <= 2))
+                and np.all(link_components(
+                    self, np.zeros(self.n_vertices))[1] <= 1))
         return self._is_surface
-
-    def _check_surface(self):
-        if self.n_triangles == 0:
-            return False
-        if np.any(self.edge_triangle_count > 2):
-            return False
-        # an edge in no triangle is a dangling edge or an edge-only vertex
-        if np.any(self.edge_triangle_count == 0):
-            return False
-        # each vertex link must be one path or one cycle
-        link_edges = [[] for _ in range(self.n_vertices)]
-        for (i, j, k) in self.triangles.tolist():
-            link_edges[i].append((j, k))
-            link_edges[j].append((i, k))
-            link_edges[k].append((i, j))
-        for v in range(self.n_vertices):
-            pairs = link_edges[v]
-            if not pairs:
-                continue
-            deg = {}
-            for a, b in pairs:
-                deg[a] = deg.get(a, 0) + 1
-                deg[b] = deg.get(b, 0) + 1
-            if any(d > 2 for d in deg.values()):
-                return False
-            # connectivity of the link graph
-            adj = {}
-            for a, b in pairs:
-                adj.setdefault(a, []).append(b)
-                adj.setdefault(b, []).append(a)
-            seen = {next(iter(adj))}
-            stack = [next(iter(adj))]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if len(seen) != len(adj):
-                return False
-        return True
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return (f"<SimplicialComplex{tag} V={self.n_vertices} "
                 f"E={self.n_edges} T={self.n_triangles}>")
+
+
+def link_components(complex: SimplicialComplex, g):
+    """Per vertex v: the numbers of components of its lower, its level and
+    its upper link, as three arrays.
+
+    The link of v is the graph of the edges opposite v in the triangles
+    around it; its lower (level, upper) part is the subgraph induced on the
+    link vertices below (at, above) g[v].  Link vertex w of v is node
+    2e + (v is the upper end of e) for the edge e = vw, so the link edges
+    of a triangle's corners come straight from its `triangle_edges`, and
+    all links are labelled with one connected-components call.
+    """
+    ij, ik, jk = complex.triangle_edges.T
+    # the link edges of corners i, j and k join these node pairs
+    a = np.concatenate([2 * ij, 2 * ij + 1, 2 * ik + 1])
+    b = np.concatenate([2 * ik, 2 * jk, 2 * jk + 1])
+    centre = complex.edges.ravel()
+    side = np.sign(g[complex.edges[:, ::-1].ravel()] - g[centre])
+    # an edge in no triangle is in no link
+    side[np.repeat(complex.edge_triangle_count == 0, 2)] = 2
+    same = side[a] == side[b]
+    graph = coo_matrix((np.ones(int(same.sum()), dtype=bool),
+                        (a[same], b[same])),
+                       shape=(centre.size, centre.size))
+    n_comp, labels = connected_components(graph, directed=False)
+    # the nodes of a component share their centre and their side
+    comp_centre = np.empty(n_comp, dtype=np.int64)
+    comp_centre[labels] = centre
+    comp_side = np.empty(n_comp, dtype=side.dtype)
+    comp_side[labels] = side
+    return tuple(np.bincount(comp_centre[comp_side == s],
+                             minlength=complex.n_vertices)
+                 for s in (-1, 0, 1))
 
 
 class ScalarField:

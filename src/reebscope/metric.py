@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexes.contours import contour_diameter, crossing_geometry
 from .complexes.geodesic import vertex_distances
 from .complexes.levelscan import LevelScan, select_gap_indices
 from .complexes.simplicial import ScalarField, SimplicialComplex
@@ -177,20 +178,12 @@ def distortion(complex: SimplicialComplex, field: ScalarField,
     return float(np.abs(dx - dr).max())
 
 
-def _crossing_geometry(complex, contour):
-    ends = complex.edges[contour.edge_ids]
-    lens = complex.lengths[contour.edge_ids]
-    off_lo = contour.params * lens
-    off_hi = (1.0 - contour.params) * lens
-    return ends, off_lo, off_hi
-
-
 def _sweep_diameter(complex, contour, iters: int = 8) -> float:
     """Iterated farthest-point lower estimate of a contour's diameter."""
     n = len(contour)
     if n <= 1:
         return 0.0
-    ends, off_lo, off_hi = _crossing_geometry(complex, contour)
+    ends, off_lo, off_hi = crossing_geometry(complex, contour)
     if complex.coords is not None:
         pts = contour.points(complex)
         far = pts - pts.mean(axis=0)
@@ -215,7 +208,6 @@ def _sweep_diameter(complex, contour, iters: int = 8) -> float:
 
 def _contour_diam(complex, contour, mode, method):
     if mode == "extrinsic" or method == "exact":
-        from .complexes.contours import contour_diameter
         return contour_diameter(complex, contour, mode=mode)
     if method != "sweep":
         raise ValueError(f"unknown method {method!r}")

@@ -1,14 +1,11 @@
 from .build import build_reeb
-from .graph import (QuotientMap, ReebGraph, cycle_rank, isomorphic,
-                    reeb_metric)
+from .graph import QuotientMap, ReebGraph, isomorphic
 from .oracle import reeb_oracle
 
 __all__ = [
     "QuotientMap",
     "ReebGraph",
     "build_reeb",
-    "cycle_rank",
     "isomorphic",
-    "reeb_metric",
     "reeb_oracle",
 ]

@@ -46,7 +46,7 @@ def _components(n, a, b):
 
 def _critical_values(complex: SimplicialComplex, g):
     """Sorted distinct values of the critical vertices."""
-    lower, upper = link_components(complex, g)
+    lower, _, upper = link_components(complex, g)
     critical = (lower != 1) | (upper != 1)
     e = complex.edges
     loose = (g[e[:, 0]] == g[e[:, 1]]) | (complex.edge_triangle_count == 0)

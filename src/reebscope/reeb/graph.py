@@ -1,9 +1,9 @@
 """The Reeb graph as a finite topological graph with leveled nodes.
 
-Nodes carry the (perturbed) critical value and the complex vertex they came
-from; edges are a multigraph, each spanning two distinct levels.  The graph
-metric uses the level difference as edge length, so distances are measured
-in function units.  Graph points are encoded as ("node", id) or
+Nodes carry their critical value and the complex vertex they came from;
+edges are a multigraph, each spanning two distinct levels.  The graph metric
+uses the level difference as edge length, so distances are measured in
+function units.  Graph points are encoded as ("node", id) or
 ("edge", edge_id, level) with level strictly inside the edge's span.
 """
 
@@ -178,14 +178,6 @@ class ReebGraph:
     def __repr__(self):
         return (f"<ReebGraph nodes={self.n_nodes} edges={self.n_edges} "
                 f"cycle_rank={self.cycle_rank}>")
-
-
-def cycle_rank(graph: ReebGraph) -> int:
-    return graph.cycle_rank
-
-
-def reeb_metric(graph: ReebGraph, a, b) -> float:
-    return graph.distance(a, b)
 
 
 def isomorphic(a: ReebGraph, b: ReebGraph, with_levels=True) -> bool:

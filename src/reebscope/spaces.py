@@ -294,14 +294,6 @@ def evaluate(expr) -> InvariantRecord:
     raise TypeError(f"not a space expression: {expr!r}")
 
 
-def corank_eval(expr) -> int | None:
-    return evaluate(expr).b1_prime
-
-
-def isotropy_eval(expr) -> int | None:
-    return evaluate(expr).h
-
-
 # ---------------------------------------------------------------------------
 # cup-product bounds on the isotropy index
 

@@ -200,7 +200,7 @@ def _candidate_levels(complex, g):
     values, values shared by two or more vertices (which covers a vertex
     tied with a link neighbour), and the values of interior vertices that
     are extrema or saddles of the vertex order."""
-    lower, upper = link_components(complex, g)
+    lower, _, upper = link_components(complex, g)
     bvert = complex.boundary_vertices
     cand = set(np.unique(g[bvert]).tolist())
     vals, counts = np.unique(g, return_counts=True)

@@ -105,21 +105,53 @@ def contour_components(complex, values, level):
     return comps
 
 
-def link_components(complex, values):
-    """Per vertex: the number of components of its lower link and of its
-    upper link, by a flood fill over the link of each vertex in turn."""
-    g = [float(x) for x in values]
+def _links(complex):
+    """Per vertex: the edges of its link, one per triangle around it."""
     link = [[] for _ in range(complex.n_vertices)]
     for a, b, c in complex.triangles.tolist():
         link[a].append((b, c))
         link[b].append((a, c))
         link[c].append((a, b))
-    lower, upper = [], []
-    for v, pairs in enumerate(link):
+    return link
+
+
+def link_components(complex, values):
+    """Per vertex: the number of components of its lower, its level and
+    its upper link, by a flood fill over the link of each vertex in turn."""
+    g = [float(x) for x in values]
+    lower, level, upper = [], [], []
+    for v, pairs in enumerate(_links(complex)):
         ws = {w for pair in pairs for w in pair}
         lower.append(_flood_count(pairs, {w for w in ws if g[w] < g[v]}))
+        level.append(_flood_count(pairs, {w for w in ws if g[w] == g[v]}))
         upper.append(_flood_count(pairs, {w for w in ws if g[w] > g[v]}))
-    return lower, upper
+    return lower, level, upper
+
+
+def is_surface(complex):
+    """True when the complex has a triangle, every edge lies in one or two
+    triangles and the link of every vertex is one path or one cycle,
+    walking each link in turn."""
+    if complex.n_triangles == 0:
+        return False
+    count = {tuple(e): 0 for e in complex.edges.tolist()}
+    for i, j, k in complex.triangles.tolist():
+        for e in ((i, j), (i, k), (j, k)):
+            count[e] += 1
+    if any(c not in (1, 2) for c in count.values()):
+        return False
+    for pairs in _links(complex):
+        if not pairs:
+            continue
+        deg = {}
+        for a, b in pairs:
+            deg[a] = deg.get(a, 0) + 1
+            deg[b] = deg.get(b, 0) + 1
+        if any(d > 2 for d in deg.values()):
+            return False
+        if _flood_count(pairs, set(deg)) != 1:
+            return False
+    return True
 
 
 def _flood_count(pairs, nodes):

@@ -64,25 +64,49 @@ def test_reeb_command_on_a_tree_shaped_quotient(runner, tmp_path):
     assert json.loads(res.stdout)["cycle_rank"] == 0
 
 
-def test_reeb_command_rejects_malformed_mesh(runner, tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{\"schema\": 1}")
+def _assert_usage_error(res):
+    assert res.exit_code == 2, (res.output, res.exception)
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("name, text", [
+    ("no_vertices.json", "{\"schema\": 1}"),
+    ("header_only.off", "OFF\n"),
+    ("short_faces.off", "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"),
+    ("quad.off", "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n"),
+    ("array.json", "[1, 2]"),
+    ("object_vertices.json", "{\"vertices\": {\"a\": 1}}"),
+], ids=["no-vertices", "off-header-only", "off-short-faces", "off-quad",
+        "json-array", "json-object-vertices"])
+def test_reeb_command_rejects_malformed_mesh(runner, tmp_path, name, text):
+    bad = tmp_path / name
+    bad.write_text(text)
     field = tmp_path / "f.json"
     field.write_text("[0.0]")
     res = runner.invoke(main, ["reeb", "--mesh", str(bad), "--field",
                                str(field), "--out", str(tmp_path / "g")])
-    assert res.exit_code == 2
-    assert "error:" in res.stderr
+    _assert_usage_error(res)
+    assert str(bad) in res.stderr
 
 
-def test_reeb_command_rejects_field_length_mismatch(runner, tmp_path):
+@pytest.mark.parametrize("name, text", [
+    ("short.json", "[0.0, 1.0]"),
+    ("object.json", "{\"a\": 1}"),
+    ("objects.json", "[{\"a\": 1}]"),
+    ("nested.json", "[[0.0, 1.0]]"),
+    ("words.txt", "0.0\nzero\n"),
+], ids=["short", "json-object", "json-array-of-objects", "json-nested",
+        "text-not-a-number"])
+def test_reeb_command_rejects_field_length_mismatch(runner, tmp_path, name,
+                                                    text):
     _, mesh, _ = _torus_files(tmp_path)
-    short = tmp_path / "short.json"
-    short.write_text("[0.0, 1.0]")
+    bad = tmp_path / name
+    bad.write_text(text)
     res = runner.invoke(main, ["reeb", "--mesh", mesh, "--field",
-                               str(short), "--out", str(tmp_path / "g")])
-    assert res.exit_code == 2
-    assert "error:" in res.stderr
+                               str(bad), "--out", str(tmp_path / "g")])
+    _assert_usage_error(res)
+    assert str(bad) in res.stderr
 
 
 def test_reeb_command_rejects_nan_coordinates(runner, tmp_path):

@@ -19,7 +19,6 @@ from reebscope.complexes import (ScalarField, SimplicialComplex,
                                  euler_characteristic, height_field,
                                  load_complex, load_field, save_complex,
                                  save_field)
-from reebscope.complexes.contours import contour_count_at
 from reebscope.complexes.generators import (circle_mesh, disk_mesh,
                                             flat_torus_mesh, generate_space,
                                             genus_mesh, hemisphere_mesh,
@@ -29,7 +28,9 @@ from reebscope.complexes.generators import (circle_mesh, disk_mesh,
                                             wedge_circles_mesh)
 from reebscope.complexes.geodesic import diameter, single_source
 from reebscope.complexes.levelscan import LevelScan, select_gap_indices
-from reebscope.complexes.simplicial import NonGenericLevelError, check_field
+from reebscope.complexes.simplicial import (NonGenericLevelError, check_field,
+                                            link_components)
+from test_reeb import mixed_complexes, small_fixtures
 
 # tests/oracles.py freeze run
 FLAT_TORUS8_CORNER_TO_CENTER = 0.7071067811865476
@@ -117,13 +118,25 @@ def test_coords_shape_checked():
 # ---------------------------------------------------------- derived structure
 
 def test_triangle_edges_are_own_boundary():
-    cx = SimplicialComplex(**TRIANGLE)
-    assert cx.n_edges == 3
-    for t, tri in enumerate(cx.triangles.tolist()):
-        for e in cx.triangle_edges[t]:
-            assert set(cx.edges[e].tolist()) <= set(tri)
-    assert cx.boundary_edges.all()
-    assert cx.boundary_vertices.all()
+    triangle = SimplicialComplex(**TRIANGLE)
+    assert triangle.n_edges == 3
+    assert triangle.boundary_edges.all()
+    assert triangle.boundary_vertices.all()
+    repeated = SimplicialComplex(
+        triangles=[[2, 3, 1], [2, 1, 0], [0, 1, 2]],
+        coords=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                [1.0, 1.0, 0.0]])
+    assert repeated.triangles.tolist() == [[0, 1, 2], [1, 2, 3]]
+    for cx in small_fixtures() + [triangle, repeated]:
+        tri, te = cx.triangles, cx.triangle_edges
+        assert np.array_equal(tri, np.unique(tri, axis=0))
+        assert te.shape == tri.shape
+        # columns (ij, ik, jk) of each sorted triangle (i, j, k)
+        for col, (a, b) in enumerate([(0, 1), (0, 2), (1, 2)]):
+            assert np.array_equal(cx.edges[te[:, col]], tri[:, [a, b]]), \
+                (cx.name, col)
+        for e, (i, j) in enumerate(cx.edges.tolist()):
+            assert cx.edge_id(i, j) == cx.edge_id(j, i) == e
 
 
 def test_disk_boundary_is_outer_ring():
@@ -153,6 +166,11 @@ def test_edge_id_is_order_insensitive():
     cx = SimplicialComplex(**TRIANGLE)
     for i, j in cx.edges.tolist():
         assert cx.edge_id(i, j) == cx.edge_id(j, i)
+    cx = path_mesh(4)
+    # key 0*4 + 6 would be the key of edge (1, 2)
+    for i, j in ((0, 2), (1, 1), (0, 4), (-1, 0), (0, 6)):
+        with pytest.raises(KeyError):
+            cx.edge_id(i, j)
 
 
 def test_is_surface():
@@ -165,6 +183,34 @@ def test_is_surface():
         triangles=[[0, 1, 2], [0, 1, 3], [0, 1, 4]],
         coords=[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]])
     assert not book.is_surface
+    # a book page, a dangling edge, a circle beside a sphere, a graph, two
+    # cones on one apex, the empty complex
+    mixed = mixed_complexes()
+    assert not any(cx.is_surface for cx in mixed)
+    # every edge of the hourglass lies in one or two triangles, but the
+    # link of its apex is two circles
+    assert np.isin(mixed[4].edge_triangle_count, [1, 2]).all()
+    # an isolated vertex has an empty link
+    disk = disk_mesh(2)
+    lonely = SimplicialComplex(
+        triangles=disk.triangles,
+        coords=np.vstack([disk.coords, [[5.0, 5.0, 5.0]]]))
+    assert lonely.is_surface
+    assert flat_torus_mesh(6).is_surface
+    for cx in [book, lonely] + small_fixtures() + mixed:
+        assert cx.is_surface == oracles.is_surface(cx), cx
+
+
+def test_link_components_match_the_oracle_on_ties():
+    rng = np.random.default_rng(5)
+    for cx in small_fixtures() + mixed_complexes():
+        fields = [np.zeros(cx.n_vertices), rng.normal(size=cx.n_vertices)]
+        fields += [rng.integers(0, 3, cx.n_vertices).astype(float)
+                   for _ in range(4)]
+        for g in fields:
+            counts = link_components(cx, g)
+            assert tuple(c.tolist() for c in counts) \
+                == oracles.link_components(cx, g), (cx, g.tolist())
 
 
 def test_adjacency_matches_lengths():
@@ -324,7 +370,7 @@ def test_vertex_level_rejected():
 def test_contour_count_on_sphere_height():
     cx = uv_sphere_mesh(10, 12)
     hz = height_field(cx)
-    assert contour_count_at(cx, hz, 0.0123) == 1
+    assert len(contours_at(cx, hz, 0.0123)) == 1
 
 
 def test_contour_length_of_flat_circle():

@@ -16,8 +16,7 @@ from reebscope.complexes.generators import (circle_mesh, disk_mesh,
                                             uv_sphere_mesh,
                                             wedge_circles_mesh)
 from reebscope.complexes.simplicial import SimplicialComplex
-from reebscope.reeb import (ReebGraph, build_reeb, cycle_rank, isomorphic,
-                            reeb_metric, reeb_oracle)
+from reebscope.reeb import ReebGraph, build_reeb, isomorphic, reeb_oracle
 from test_width import _book
 
 
@@ -265,7 +264,7 @@ def test_point_distance_matches_oracle():
     rng = np.random.default_rng(11)
     for _ in range(40):
         i, j = rng.integers(0, cx.n_vertices, size=2)
-        got = reeb_metric(graph, qmap.point(int(i)), qmap.point(int(j)))
+        got = graph.distance(qmap.point(int(i)), qmap.point(int(j)))
         want = oracles.quotient_distance(graph, qmap, nd, int(i), int(j))
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -302,7 +301,7 @@ def test_cycle_rank_euler_formula():
     for cx in (torus_mesh(8, 4), uv_sphere_mesh(4, 8), three_arc_mesh(4)):
         graph, _ = build_reeb(cx, ScalarField(
             np.round(np.random.default_rng(3).normal(size=cx.n_vertices), 1)))
-        assert cycle_rank(graph) == \
+        assert graph.cycle_rank == \
             graph.n_edges - graph.n_nodes + graph.n_components
 
 

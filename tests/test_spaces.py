@@ -9,8 +9,8 @@ from reebscope.metric import BoundReport
 from reebscope.spaces import (Base, ConnSum, InvariantRecord, Product,
                               SpaceParseError,
                               UnionSimplyConnectedIntersection, Wedge,
-                              base_table, chain_check, corank_eval, evaluate,
-                              h_bounds, isotropy_eval, parse_space)
+                              base_table, chain_check, evaluate, h_bounds,
+                              parse_space)
 from reebscope.spaces import VACUOUS_NOTE, _FLAG_NAMES
 
 
@@ -173,10 +173,10 @@ def test_nonorientable_unknown_propagates():
     assert r.notes
 
 
-def test_corank_and_isotropy_eval_shorthands():
+def test_corank_and_isotropy_of_a_product():
     expr = Product(Base("torus_n", (("n", 4),)), Base("circle"))
-    assert corank_eval(expr) == 1
-    assert isotropy_eval(expr) == 1
+    assert evaluate(expr).b1_prime == 1
+    assert evaluate(expr).h == 1
 
 
 def test_evaluate_type_error():
