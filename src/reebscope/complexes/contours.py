@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .simplicial import (NonGenericLevelError, ScalarField, SimplicialComplex,
                          link_components)
-from .geodesic import vertex_distances
+from .geodesic import distance_rows
 
 
 @dataclass
@@ -262,7 +262,7 @@ def contour_diameter(complex: SimplicialComplex, contour: Contour,
 
     ends, off_lo, off_hi = crossing_geometry(complex, contour)
     verts = np.unique(ends)
-    sub = vertex_distances(complex, verts)[:, verts]
+    sub = distance_rows(complex, verts)[:, verts]
     lo, hi = np.searchsorted(verts, ends).T
 
     best = 0.0

@@ -85,8 +85,8 @@ def _read_json(path: Path) -> SimplicialComplex:
         raise ValueError(f"{path}: JSON mesh needs 'vertices' or "
                          f"'n_vertices'")
     rows = doc.get("edges") or []
+    tris = doc.get("triangles") or []
     try:
-        tris = np.asarray(doc.get("triangles") or [], dtype=np.int64)
         if "vertices" in doc:
             coords = np.asarray(doc["vertices"], dtype=float)
         elif any(len(e) != 3 for e in rows):
@@ -94,14 +94,17 @@ def _read_json(path: Path) -> SimplicialComplex:
         else:
             n_vertices = int(doc["n_vertices"])
             lengths = np.asarray([e[2] for e in rows], dtype=float)
-        edges = np.asarray([e[:2] for e in rows], dtype=np.int64)
+        edges = [e[:2] for e in rows]
     except TypeError as exc:
         raise ValueError(f"{path}: malformed JSON mesh ({exc})") from None
-    if "vertices" in doc:
-        return SimplicialComplex(edges=edges, triangles=tris, coords=coords,
-                                 name=path.stem)
-    return SimplicialComplex(edges=edges, lengths=lengths, triangles=tris,
-                             n_vertices=n_vertices, name=path.stem)
+    try:
+        if "vertices" in doc:
+            return SimplicialComplex(edges=edges, triangles=tris,
+                                     coords=coords, name=path.stem)
+        return SimplicialComplex(edges=edges, lengths=lengths, triangles=tris,
+                                 n_vertices=n_vertices, name=path.stem)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_field(path, n_vertices=None) -> ScalarField:

@@ -24,12 +24,21 @@ class NonGenericLevelError(ValueError):
 
 
 def _as_int_rows(rows, width, what):
-    arr = np.asarray(rows if rows is not None else [], dtype=np.int64)
+    """`rows` as an (n, width) int64 array.  Booleans and non-integral
+    numbers are not vertex ids; numpy would read them as 0/1 or truncate
+    them, so they are rejected."""
+    arr = np.asarray(rows if rows is not None else [])
     if arr.size == 0:
-        return arr.reshape(0, width)
+        return np.zeros((0, width), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != width:
         raise ValueError(f"{what} must be an (n, {width}) integer array")
-    return arr
+    # a list mixing ints and booleans converts to an int array
+    mixed = not isinstance(rows, np.ndarray) and any(
+        isinstance(x, (bool, np.bool_)) for row in rows for x in row)
+    if mixed or arr.dtype.kind not in "iuf" or (
+            arr.dtype.kind == "f" and not np.all(arr == np.round(arr))):
+        raise ValueError(f"{what} must hold integer vertex ids")
+    return arr.astype(np.int64, copy=False)
 
 
 class SimplicialComplex:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes.contours import contour_diameter, crossing_geometry
-from .complexes.geodesic import vertex_distances
+from .complexes.geodesic import distance_rows
 from .complexes.levelscan import LevelScan, select_gap_indices
 from .complexes.simplicial import ScalarField, SimplicialComplex
 from .reeb.graph import QuotientMap, ReebGraph
@@ -149,7 +149,7 @@ def distortion(complex: SimplicialComplex, field: ScalarField,
         all_cols = np.arange(n)
         for start in range(0, n, block):
             rows = np.arange(start, min(start + block, n))
-            dx = vertex_distances(complex, rows.tolist())
+            dx = distance_rows(complex, rows)
             dr = reeb_block(rows, all_cols)
             best = max(best, float(np.abs(dx - dr).max()))
         return best
@@ -160,10 +160,8 @@ def distortion(complex: SimplicialComplex, field: ScalarField,
     rng = np.random.default_rng(seed)
     left = rng.integers(0, n, size=k)
     right = rng.integers(0, n, size=k)
-    srcs = np.unique(left)
-    dx_rows = vertex_distances(complex, srcs.tolist())
-    row_of = {int(s): i for i, s in enumerate(srcs)}
-    dx = dx_rows[[row_of[int(v)] for v in left], right]
+    srcs, row_of = np.unique(left, return_inverse=True)
+    dx = distance_rows(complex, srcs)[row_of, right]
     dr = nd[e_lo[left], e_lo[right]] + c_lo[left] + c_lo[right]
     np.minimum(dr, nd[e_lo[left], e_hi[right]] + c_lo[left] + c_hi[right],
                out=dr)
@@ -192,7 +190,7 @@ def _sweep_diameter(complex, contour, iters: int = 8) -> float:
         cur = 0
     best = 0.0
     for _ in range(iters):
-        d2 = vertex_distances(complex, [int(ends[cur, 0]), int(ends[cur, 1])])
+        d2 = distance_rows(complex, ends[cur])
         dq = d2[0, ends[:, 0]] + off_lo[cur] + off_lo
         np.minimum(dq, d2[0, ends[:, 1]] + off_lo[cur] + off_hi, out=dq)
         np.minimum(dq, d2[1, ends[:, 0]] + off_hi[cur] + off_lo, out=dq)

@@ -3,8 +3,10 @@ and byte-identical output for a fixed seed."""
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,8 +79,13 @@ def _assert_usage_error(res):
     ("quad.off", "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n"),
     ("array.json", "[1, 2]"),
     ("object_vertices.json", "{\"vertices\": {\"a\": 1}}"),
+    ("float_id.json", "{\"vertices\": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], "
+                      "\"triangles\": [[0, 1, 2.9]]}"),
+    ("bool_id.json", "{\"vertices\": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], "
+                     "\"triangles\": [[0, 1, true]]}"),
 ], ids=["no-vertices", "off-header-only", "off-short-faces", "off-quad",
-        "json-array", "json-object-vertices"])
+        "json-array", "json-object-vertices", "json-float-vertex-id",
+        "json-bool-vertex-id"])
 def test_reeb_command_rejects_malformed_mesh(runner, tmp_path, name, text):
     bad = tmp_path / name
     bad.write_text(text)
@@ -122,13 +129,21 @@ def test_reeb_command_rejects_nan_coordinates(runner, tmp_path):
     assert not (tmp_path / "g.json").exists()
 
 
-def _reeb_process(mesh, field, out):
-    """Run `reebscope reeb` in a fresh process; its stdout document."""
+def _reeb_process(mesh, field, out, hash_seed="0"):
+    """Run `reebscope reeb` in a fresh process with the given string hash
+    seed; its stdout document.  Output that follows hash order or object
+    addresses then differs between two seeds every time."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     res = subprocess.run([sys.executable, "-m", "reebscope.cli", "reeb",
                           "--mesh", str(mesh), "--field", str(field),
-                          "--out", str(out)], capture_output=True)
+                          "--out", str(out)], capture_output=True, env=env)
     assert res.returncode == 0, res.stderr
     return json.loads(res.stdout)
+
+
+def _graph_files(prefix):
+    return (Path(f"{prefix}.json").read_bytes(),
+            Path(f"{prefix}.dot").read_bytes())
 
 
 def test_reeb_command_is_reproducible_across_processes_on_ties(tmp_path):
@@ -140,10 +155,9 @@ def test_reeb_command_is_reproducible_across_processes_on_ties(tmp_path):
     values = np.random.default_rng(8).integers(0, 4, cx.n_vertices)
     save_field(ScalarField(values.astype(float)), field)
     files = []
-    for run in ("a", "b"):
-        _reeb_process(mesh, field, tmp_path / run)
-        files.append(((tmp_path / f"{run}.json").read_bytes(),
-                      (tmp_path / f"{run}.dot").read_bytes()))
+    for run, hash_seed in (("a", "0"), ("b", "1")):
+        _reeb_process(mesh, field, tmp_path / run, hash_seed)
+        files.append(_graph_files(tmp_path / run))
     assert files[0] == files[1]
 
 
@@ -158,8 +172,11 @@ def test_reeb_command_on_a_genus_three_mesh(tmp_path):
     mesh, field = tmp_path / "genus3.off", tmp_path / "smooth.json"
     save_complex(cx, mesh)
     save_field(f, field)
-    doc = _reeb_process(mesh, field, tmp_path / "graph")
+    doc = _reeb_process(mesh, field, tmp_path / "graph", "0")
     assert doc["cycle_rank"] == 3
+    again = _reeb_process(mesh, field, tmp_path / "again", "1")
+    assert again["cycle_rank"] == 3
+    assert _graph_files(tmp_path / "graph") == _graph_files(tmp_path / "again")
     graph = json.loads((tmp_path / "graph.json").read_text())
     degree = np.bincount(np.asarray(graph["edges"]).ravel(),
                          minlength=len(graph["nodes"]))

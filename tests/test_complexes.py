@@ -26,10 +26,15 @@ from reebscope.complexes.generators import (circle_mesh, disk_mesh,
                                             three_arc_mesh, torus_mesh,
                                             tripod_field, uv_sphere_mesh,
                                             wedge_circles_mesh)
-from reebscope.complexes.geodesic import diameter, single_source
+from reebscope.complexes import geodesic
+from reebscope.complexes.geodesic import (ALL_PAIRS_BUDGET_BYTES, diameter,
+                                          distance_rows, single_source,
+                                          vertex_distances)
 from reebscope.complexes.levelscan import LevelScan, select_gap_indices
 from reebscope.complexes.simplicial import (NonGenericLevelError, check_field,
                                             link_components)
+from reebscope.metric import distortion, max_contour_diameter
+from reebscope.reeb import build_reeb
 from test_reeb import mixed_complexes, small_fixtures
 
 # tests/oracles.py freeze run
@@ -51,6 +56,20 @@ def test_triangle_index_out_of_range():
 def test_degenerate_triangle_rejected():
     with pytest.raises(ValueError, match="degenerate triangle"):
         SimplicialComplex(triangles=[[0, 1, 1]], coords=TRIANGLE["coords"])
+
+
+@pytest.mark.parametrize("tri", [[[0, 1, 2.9]], [[0, True, 2]],
+                                 [[0, 1, "2"]], np.array([[0, 1, 2.5]])])
+def test_vertex_ids_must_be_integers(tri):
+    # numpy would truncate 2.9 to 2 and read True as 1
+    with pytest.raises(ValueError, match="integer vertex ids"):
+        SimplicialComplex(triangles=tri, coords=TRIANGLE["coords"])
+
+
+def test_integral_float_vertex_ids_are_accepted():
+    cx = SimplicialComplex(triangles=[[0.0, 1.0, 2.0]],
+                           coords=TRIANGLE["coords"])
+    assert cx.triangles.tolist() == [[0, 1, 2]]
 
 
 def test_degenerate_edge_rejected():
@@ -460,7 +479,7 @@ def test_circle_diameter_closed_form():
         64 * math.sin(math.pi / 64), rel=1e-12)
 
 
-def test_single_source_matches_oracle_on_random_graph():
+def _random_metric_graph():
     rng = np.random.default_rng(7)
     n = 30
     edges, lengths = [], []
@@ -476,11 +495,91 @@ def test_single_source_matches_oracle_on_random_graph():
         if (k, k + 1) not in seen:
             edges.append([k, k + 1])
             lengths.append(1.0)
-    cx = SimplicialComplex(edges=edges, lengths=lengths, n_vertices=n)
+    return SimplicialComplex(edges=edges, lengths=lengths, n_vertices=n)
+
+
+def test_single_source_matches_oracle_on_random_graph():
+    cx = _random_metric_graph()
     adj = oracles.adjacency(cx)
     for s in (0, 13, 29):
         assert np.allclose(single_source(cx, s), oracles.dijkstra(adj, s),
                            rtol=0, atol=1e-12)
+
+
+def _check_provider_rows(cx, sources):
+    """The provider's rows for `sources` agree with the textbook Dijkstra,
+    with networkx, and bit for bit with per-source scipy rows."""
+    nx = pytest.importorskip("networkx")
+    rows = distance_rows(cx, sources)
+    assert rows.shape == (len(sources), cx.n_vertices)
+    assert np.array_equal(rows, vertex_distances(cx, sources))
+    adj = oracles.adjacency(cx)
+    g = nx.Graph()
+    g.add_nodes_from(range(cx.n_vertices))
+    g.add_weighted_edges_from((i, j, float(w)) for (i, j), w in
+                              zip(cx.edges.tolist(), cx.lengths))
+    for row, s in zip(rows, sources):
+        by_nx = np.full(cx.n_vertices, math.inf)
+        for v, d in nx.single_source_dijkstra_path_length(g, s).items():
+            by_nx[v] = d
+        for want in (np.asarray(oracles.dijkstra(adj, s)), by_nx):
+            assert np.array_equal(np.isinf(row), np.isinf(want))
+            assert np.allclose(row, want, rtol=0, atol=1e-12)
+    return rows
+
+
+@pytest.mark.parametrize("cx", small_fixtures() + [_random_metric_graph()],
+                         ids=lambda cx: cx.name or "random")
+def test_provider_rows_match_oracles(cx):
+    _check_provider_rows(cx, list(range(cx.n_vertices)))
+    # a repeated request is a slice of the same matrix
+    _check_provider_rows(cx, [cx.n_vertices - 1, 0, 0])
+
+
+def test_provider_rows_of_a_disconnected_complex_hold_inf():
+    cx = SimplicialComplex(edges=[[0, 1], [2, 3]], lengths=[1.0, 2.5],
+                           n_vertices=5)
+    rows = _check_provider_rows(cx, list(range(5)))
+    assert rows[0].tolist() == [0.0, 1.0, math.inf, math.inf, math.inf]
+    assert rows[3].tolist() == [math.inf, math.inf, 2.5, 0.0, math.inf]
+    assert rows[4].tolist() == [math.inf] * 4 + [0.0]
+
+
+def test_provider_runs_dijkstra_per_request_above_the_budget(monkeypatch):
+    n = int(math.isqrt(ALL_PAIRS_BUDGET_BYTES // 8)) + 1
+    rng = np.random.default_rng(11)
+    cx = SimplicialComplex(edges=[[k, k + 1] for k in range(n - 1)],
+                           lengths=rng.uniform(0.5, 1.5, n - 1),
+                           n_vertices=n)
+    calls = []
+    inner = geodesic.vertex_distances
+
+    def counted(complex, sources=None):
+        calls.append(None if sources is None else len(sources))
+        return inner(complex, sources)
+
+    monkeypatch.setattr(geodesic, "vertex_distances", counted)
+    rows = _check_provider_rows(cx, [0, n // 2, n - 1])
+    assert calls == [3]
+    assert rows[0, -1] == pytest.approx(float(cx.lengths.sum()), rel=1e-12)
+
+
+def test_distortion_and_contour_diameter_share_one_dijkstra_call(
+        monkeypatch):
+    cx = torus_mesh(8, 4)
+    f = height_field(cx)
+    graph, qmap = build_reeb(cx, f)
+    calls = []
+    inner = geodesic.vertex_distances
+
+    def counted(complex, sources=None):
+        calls.append(sources)
+        return inner(complex, sources)
+
+    monkeypatch.setattr(geodesic, "vertex_distances", counted)
+    assert distortion(cx, f, graph, qmap, pairs="all") > 0.0
+    assert max_contour_diameter(cx, f) > 0.0
+    assert len(calls) == 1 and calls[0] is None
 
 
 # ------------------------------------------------------------------- file io
