@@ -129,7 +129,7 @@ def test_reeb_command_rejects_nan_coordinates(runner, tmp_path):
     assert not (tmp_path / "g.json").exists()
 
 
-def _reeb_process(mesh, field, out, hash_seed="0"):
+def _reeb_process(mesh, field, out, hash_seed):
     """Run `reebscope reeb` in a fresh process with the given string hash
     seed; its stdout document.  Output that follows hash order or object
     addresses then differs between two seeds every time."""

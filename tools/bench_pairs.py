@@ -41,8 +41,7 @@ def _commit(checkout):
     def git(*args):
         return subprocess.run(["git", *args], cwd=checkout, text=True,
                               capture_output=True).stdout.strip()
-    return {"path": os.path.abspath(checkout),
-            "commit": git("rev-parse", "HEAD") or None,
+    return {"commit": git("rev-parse", "HEAD") or None,
             "dirty": bool(git("status", "--porcelain"))}
 
 
