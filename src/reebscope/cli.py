@@ -8,6 +8,7 @@ one suite check failed, 2 usage or validation error.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -81,6 +82,9 @@ _SUITE_ALIASES = {"disk": "thm62", "hemisphere": "ex66"}
 def cmd_verify(suite, seed, h, tol, out_path):
     """Run a verification suite; nonzero exit iff any check fails."""
     name = _SUITE_ALIASES.get(suite, suite)
+    for option, value in (("--h", h), ("--tol", tol)):
+        if value is not None and not math.isfinite(value):
+            _fail_usage(f"{option} must be finite, got {value!r}")
     try:
         reports = SUITES[name](h=h, seed=seed, tol=tol)
     except ValueError as exc:
@@ -150,6 +154,8 @@ def cmd_width_local(r, K, n):
 def cmd_width_global(inj, K, dim, vol, diam, c_n):
     try:
         g = GlobalGeometry(inj, K, dim, vol=vol, diam=diam)
+        volume_bound = (urysohn_volume_lower(vol, diam, dim, c_n)
+                        if None not in (vol, diam, c_n) else None)
     except ValueError as exc:
         _fail_usage(str(exc))
     simplified = simplified_bounds(g)
@@ -160,8 +166,8 @@ def cmd_width_global(inj, K, dim, vol, diam, c_n):
         "constants": {"linear": simplified.linear_constant,
                       "curvature": simplified.curvature_constant},
     }
-    if vol is not None and diam is not None and c_n is not None:
-        doc["volume_width_bound"] = urysohn_volume_lower(vol, diam, dim, c_n)
+    if volume_bound is not None:
+        doc["volume_width_bound"] = volume_bound
     _emit(doc)
 
 

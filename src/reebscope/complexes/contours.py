@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .simplicial import (NonGenericLevelError, ScalarField, SimplicialComplex,
                          link_components)
-from .geodesic import distance_rows
+from .geodesic import distance_rows, pair_distances
 
 
 @dataclass
@@ -235,12 +235,12 @@ def contours_at(complex: SimplicialComplex, field: ScalarField, level: float):
                           0, level)
 
 
-def crossing_geometry(complex: SimplicialComplex, contour: Contour):
-    """Per crossing of a contour: the ends of its edge, and its distances
-    along the edge to the lower-id end and to the other end."""
-    ends = complex.edges[contour.edge_ids]
-    lens = complex.lengths[contour.edge_ids]
-    return ends, contour.params * lens, (1.0 - contour.params) * lens
+def crossing_geometry(complex: SimplicialComplex, edge_ids, params):
+    """Per crossing at `params` along `edge_ids`: the ends of its edge, and
+    its distances along the edge to the lower-id end and to the other."""
+    ends = complex.edges[edge_ids]
+    lens = complex.lengths[edge_ids]
+    return ends, params * lens, (1.0 - params) * lens
 
 
 def contour_diameter(complex: SimplicialComplex, contour: Contour,
@@ -260,7 +260,8 @@ def contour_diameter(complex: SimplicialComplex, contour: Contour,
     if mode != "intrinsic":
         raise ValueError(f"unknown mode {mode!r}")
 
-    ends, off_lo, off_hi = crossing_geometry(complex, contour)
+    ends, off_lo, off_hi = crossing_geometry(complex, contour.edge_ids,
+                                             contour.params)
     verts = np.unique(ends)
     sub = distance_rows(complex, verts)[:, verts]
     lo, hi = np.searchsorted(verts, ends).T
@@ -281,3 +282,76 @@ def contour_diameter(complex: SimplicialComplex, contour: Contour,
         if m.size:
             best = max(best, float(m.max()))
     return best
+
+
+def sweep_diameters(complex: SimplicialComplex, contours,
+                    hops: int = 8) -> np.ndarray:
+    """Intrinsic diameter of each contour, estimated from below by the
+    farthest-point sweep, with the hops of all contours run together.
+
+    A contour starts at the crossing farthest from its centroid, or at its
+    first crossing without coordinates.  Each hop moves every contour still
+    running to its crossing farthest from the current one (the first on
+    ties), and a contour stops when that distance no longer grows.  One hop
+    makes one `pair_distances` call for the whole batch.  Contours of one
+    crossing or none measure 0.
+    """
+    sizes = np.array([len(c) for c in contours], dtype=np.int64)
+    out = np.zeros(sizes.size)
+    live = np.flatnonzero(sizes > 1)
+    if live.size == 0:
+        return out
+    edge_ids = np.concatenate([contours[i].edge_ids for i in live])
+    params = np.concatenate([contours[i].params for i in live])
+    ends, off_lo, off_hi = crossing_geometry(complex, edge_ids, params)
+    sizes = sizes[live]
+    starts = np.cumsum(sizes) - sizes
+    cur = starts.copy()
+    if complex.coords is not None:
+        a = complex.coords[ends[:, 0]]
+        pts = a + params[:, None] * (complex.coords[ends[:, 1]] - a)
+        # np.add.reduceat would sum in another order than a contour's own
+        # mean; equal sizes share one (contours, size, 3) mean instead
+        centroid = np.empty_like(pts)
+        for n in np.unique(sizes).tolist():
+            at = starts[sizes == n, None] + np.arange(n)
+            centroid[at] = pts[at].mean(axis=1, keepdims=True)
+        far = pts - centroid
+        _, cur = _segment_argmax(np.einsum("ij,ij->i", far, far), starts)
+
+    best = np.zeros(sizes.size)
+    run = np.arange(sizes.size)
+    for _ in range(hops):
+        n = sizes[run]
+        first = np.cumsum(n) - n
+        at = np.repeat(starts[run] - first, n) + np.arange(int(n.sum()))
+        c = np.repeat(cur[run], n)
+        # the four (end of current, end of crossing) terms in one call
+        ec, ea = ends[c].T, ends[at].T
+        d = pair_distances(complex,
+                           np.concatenate([ec[0], ec[0], ec[1], ec[1]]),
+                           np.concatenate([ea[0], ea[1], ea[0], ea[1]])
+                           ).reshape(4, -1)
+        dq = d[0] + off_lo[c] + off_lo[at]
+        np.minimum(dq, d[1] + off_lo[c] + off_hi[at], out=dq)
+        np.minimum(dq, d[2] + off_hi[c] + off_lo[at], out=dq)
+        np.minimum(dq, d[3] + off_hi[c] + off_hi[at], out=dq)
+        dq[first + cur[run] - starts[run]] = 0.0
+        top, nxt = _segment_argmax(dq, first)
+        grow = ~(top <= best[run] * (1.0 + 1e-12))
+        run, top, nxt = run[grow], top[grow], nxt[grow]
+        if run.size == 0:
+            break
+        best[run] = top
+        cur[run] = at[nxt]
+    out[live] = best
+    return out
+
+
+def _segment_argmax(x, starts):
+    """Per segment of `x` beginning at the ascending `starts`: its largest
+    value and the index in `x` of its first occurrence."""
+    top = np.maximum.reduceat(x, starts)
+    seg = np.repeat(np.arange(starts.size), np.diff(np.append(starts, x.size)))
+    hit = np.where(x == top[seg], np.arange(x.size), x.size)
+    return top, np.minimum.reduceat(hit, starts)

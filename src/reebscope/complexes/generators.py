@@ -457,8 +457,8 @@ def generate_space(name: str, h: float, check: bool = True, **params
     """Build the named fixture at target edge length h with its canonical
     field (height for embedded surfaces and graphs, distance-from-vertex on
     the flat torus, geodesic tripod distance on the hemisphere)."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError("h must be positive and finite")
     field = None
     if name == "sphere":
         cx = uv_sphere_mesh(_mult(math.pi / h, 1, 3),

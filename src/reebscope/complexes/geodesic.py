@@ -6,15 +6,21 @@ its edge lengths.  Dijkstra is delegated to scipy's csgraph implementation,
 through the one kernel `vertex_distances`.
 
 Callers that read many rows of one complex ask the distance provider,
-`distance_rows`: `metric.distortion`, the farthest-point sweep behind
-`max_contour_diameter`, `thickness` and the hemisphere verifiers,
-`contours.contour_diameter` and `diameter`.  While the all-pairs float64
-matrix of a complex fits `ALL_PAIRS_BUDGET_BYTES` (64 MiB, up to 2,896
-vertices), the first request computes it with one Dijkstra call, it is held
-with the complex for as long as the complex lives, and every request is a
-row slice of it.  Above the budget each request runs Dijkstra from its own
-sources.  scipy runs the same per-source Dijkstra in both cases, so the
-rows agree bit for bit.
+`distance_rows`: `metric.distortion`, `contours.contour_diameter` and
+`diameter`.  While the all-pairs float64 matrix of a complex fits
+`ALL_PAIRS_BUDGET_BYTES` (64 MiB, up to 2,896 vertices), the first request
+computes it with one Dijkstra call, it is held with the complex for as long
+as the complex lives, and every request is a row slice of it.  Above the
+budget each request runs Dijkstra from its own sources.  scipy runs the
+same per-source Dijkstra in both cases, so the rows agree bit for bit.
+
+`pair_distances` reads single entries of that matrix for aligned vertex
+arrays.  It serves the batched farthest-point kernel
+`contours.sweep_diameters`, behind `max_contour_diameter`, `thickness` and
+the hemisphere verifiers: each hop of the sweep over a whole batch of
+contours is one call.  Under the budget the call is one gather from the
+all-pairs matrix; above it, one Dijkstra call from the distinct row
+vertices, split so that no call returns more than the budget.
 
 `single_source` stays a one-source call: a distance field reads one row,
 and a whole matrix for it would cost more time and memory than it saves.
@@ -53,8 +59,7 @@ def distance_rows(complex: SimplicialComplex, sources=None):
     """The rows of `vertex_distances(complex, sources)`, from the complex's
     all-pairs matrix when it fits the budget.  The result may be that
     matrix itself, which is read-only."""
-    n = complex.n_vertices
-    if 8 * n * n > ALL_PAIRS_BUDGET_BYTES:
+    if not _fits_budget(complex):
         return vertex_distances(complex, sources)
     full = _ALL_PAIRS.get(complex)
     if full is None:
@@ -64,6 +69,29 @@ def distance_rows(complex: SimplicialComplex, sources=None):
     if sources is None:
         return full
     return full[np.asarray(sources, dtype=np.int64).reshape(-1)]
+
+
+def pair_distances(complex: SimplicialComplex, rows, cols):
+    """The distances `vertex_distances(complex)[rows, cols]` for aligned
+    vertex arrays, with at most `ALL_PAIRS_BUDGET_BYTES / (8 V)` sources
+    per Dijkstra call above the budget."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if _fits_budget(complex):
+        return distance_rows(complex)[rows, cols]
+    sources, at = np.unique(rows, return_inverse=True)
+    step = max(1, ALL_PAIRS_BUDGET_BYTES // (8 * complex.n_vertices))
+    out = np.empty(rows.shape)
+    for lo in range(0, sources.size, step):
+        part = (at >= lo) & (at < lo + step)
+        block = vertex_distances(complex, sources[lo:lo + step])
+        out[part] = block[at[part] - lo, cols[part]]
+    return out
+
+
+def _fits_budget(complex: SimplicialComplex) -> bool:
+    n = complex.n_vertices
+    return 8 * n * n <= ALL_PAIRS_BUDGET_BYTES
 
 
 def single_source(complex: SimplicialComplex, source: int):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes.contours import contour_diameter, crossing_geometry
+from .complexes.contours import (_BATCH_CROSSINGS, contour_diameter,
+                                 sweep_diameters)
 from .complexes.geodesic import distance_rows
 from .complexes.levelscan import LevelScan, select_gap_indices
 from .complexes.simplicial import ScalarField, SimplicialComplex
@@ -176,44 +177,9 @@ def distortion(complex: SimplicialComplex, field: ScalarField,
     return float(np.abs(dx - dr).max())
 
 
-def _sweep_diameter(complex, contour, iters: int = 8) -> float:
-    """Iterated farthest-point lower estimate of a contour's diameter."""
-    n = len(contour)
-    if n <= 1:
-        return 0.0
-    ends, off_lo, off_hi = crossing_geometry(complex, contour)
-    if complex.coords is not None:
-        pts = contour.points(complex)
-        far = pts - pts.mean(axis=0)
-        cur = int(np.argmax(np.einsum("ij,ij->i", far, far)))
-    else:
-        cur = 0
-    best = 0.0
-    for _ in range(iters):
-        d2 = distance_rows(complex, ends[cur])
-        dq = d2[0, ends[:, 0]] + off_lo[cur] + off_lo
-        np.minimum(dq, d2[0, ends[:, 1]] + off_lo[cur] + off_hi, out=dq)
-        np.minimum(dq, d2[1, ends[:, 0]] + off_hi[cur] + off_lo, out=dq)
-        np.minimum(dq, d2[1, ends[:, 1]] + off_hi[cur] + off_hi, out=dq)
-        dq[cur] = 0.0
-        nxt = int(np.argmax(dq))
-        if dq[nxt] <= best * (1.0 + 1e-12):
-            break
-        best = float(dq[nxt])
-        cur = nxt
-    return best
-
-
-def _contour_diam(complex, contour, mode, method):
-    if mode == "extrinsic" or method == "exact":
-        return contour_diameter(complex, contour, mode=mode)
-    if method != "sweep":
-        raise ValueError(f"unknown method {method!r}")
-    return _sweep_diameter(complex, contour)
-
-
 def _level_samples(complex, field, levels_per_edge, max_levels):
-    """Yield (level, contours) over the chosen gaps of the sweep."""
+    """Yield the contours at the chosen levels of the sweep, in lists of
+    about _BATCH_CROSSINGS crossings, so one kernel call measures many."""
     if levels_per_edge < 1:
         raise ValueError("levels_per_edge must be at least 1")
     scan = LevelScan(complex, field)
@@ -221,11 +187,27 @@ def _level_samples(complex, field, levels_per_edge, max_levels):
     if max_levels is not None:
         target = max(1, int(max_levels) // levels_per_edge)
         wanted = select_gap_indices(complex.n_vertices - 1, target)
+    batch = []
+    held = 0
     for gap in scan.gaps():
         if wanted is not None and gap.index not in wanted:
             continue
         for level in gap.levels(levels_per_edge):
-            yield level, gap.contours(level)
+            batch.extend(gap.contours(level))
+        held += gap.n_crossings * levels_per_edge
+        if held >= _BATCH_CROSSINGS:
+            yield batch
+            batch, held = [], 0
+    if batch:
+        yield batch
+
+
+def _diameters(complex, contours, mode, method):
+    if method == "sweep" and mode == "intrinsic":
+        return sweep_diameters(complex, contours)
+    if method not in ("sweep", "exact"):
+        raise ValueError(f"unknown method {method!r}")
+    return [contour_diameter(complex, c, mode=mode) for c in contours]
 
 
 def max_contour_diameter(complex: SimplicialComplex, field: ScalarField,
@@ -236,16 +218,14 @@ def max_contour_diameter(complex: SimplicialComplex, field: ScalarField,
 
     Levels are the midpoints of consecutive gaps between sorted vertex
     values, refined to `levels_per_edge` samples per gap.  The default
-    diameter route is the farthest-point sweep; `method="exact"` computes
-    every pairwise crossing distance.
+    diameter route is the farthest-point sweep, run by the batched kernel
+    `contours.sweep_diameters` over the contours of many levels at once;
+    `method="exact"` computes every pairwise crossing distance.
     """
     best = 0.0
-    for _, conts in _level_samples(complex, field, levels_per_edge,
-                                   max_levels):
-        for c in conts:
-            if len(c) < 2:
-                continue
-            best = max(best, _contour_diam(complex, c, mode, method))
+    for conts in _level_samples(complex, field, levels_per_edge, max_levels):
+        best = max(best, float(np.max(_diameters(complex, conts, mode,
+                                                 method))))
     return best
 
 
@@ -256,7 +236,8 @@ def thickness(complex: SimplicialComplex, field: ScalarField,
 
     Point contours carry no length scale and are excluded (with a
     warning), matching the convention that the thickness of a field only
-    sees its one-dimensional contours.
+    sees its one-dimensional contours.  Diameters come from the batched
+    sweep kernel `contours.sweep_diameters` unless `method="exact"`.
     """
     if not complex.is_surface:
         raise ValueError("thickness is defined for surface complexes")
@@ -264,15 +245,13 @@ def thickness(complex: SimplicialComplex, field: ScalarField,
         raise ValueError("contour lengths need embedded coordinates")
     best = math.inf
     skipped = 0
-    for level, conts in _level_samples(complex, field, levels_per_edge,
-                                       max_levels):
-        for c in conts:
-            diam = _contour_diam(complex, c, "intrinsic", method) \
-                if len(c) > 1 else 0.0
+    for conts in _level_samples(complex, field, levels_per_edge, max_levels):
+        for c, diam in zip(conts, _diameters(complex, conts, "intrinsic",
+                                             method)):
             if diam <= 0.0:
                 skipped += 1
                 continue
-            best = min(best, c.length(complex) / diam)
+            best = min(best, c.length(complex) / float(diam))
     if skipped:
         warnings.warn(f"excluded {skipped} degenerate point contour(s) "
                       "from the thickness infimum")

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes.contours import (batch_end, crossing_counts,
-                                 label_level_sets, link_components)
+                                 label_level_sets, link_components,
+                                 sweep_diameters)
 from .complexes.levelscan import LevelScan
 from .complexes.simplicial import ScalarField, SimplicialComplex
-from .metric import _sweep_diameter
 
 _HALF_SQRT3 = math.sqrt(3.0) / 2.0
 TRIPOD_WIDTH = 2.0 * math.pi / 3.0
@@ -40,6 +40,7 @@ class LocalGeometry:
     n: int
 
     def __post_init__(self):
+        _require_finite(r=self.r, K=self.K)
         if self.r <= 0:
             raise ValueError("radius must be positive")
         if self.n < 2:
@@ -56,6 +57,7 @@ class GlobalGeometry:
     diam: float | None = None
 
     def __post_init__(self):
+        _require_finite(inj=self.inj, K=self.K, vol=self.vol, diam=self.diam)
         if self.inj < 0:
             raise ValueError("injectivity radius must be nonnegative")
         if self.dim < 2:
@@ -64,6 +66,13 @@ class GlobalGeometry:
             raise ValueError("volume must be positive when given")
         if self.diam is not None and self.diam <= 0:
             raise ValueError("diameter must be positive when given")
+
+
+def _require_finite(**values):
+    """Reject NaN and infinite inputs; None stands for an absent one."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _as_local(r, K, n) -> LocalGeometry:
@@ -166,6 +175,7 @@ def sphere_chord(alpha: float, r: float, K: float) -> float:
 def urysohn_volume_lower(vol: float, diam: float, n: int,
                          c_n: float) -> float:
     """(c_n vol / diam)^(1/(n-1)); c_n is a user-supplied constant."""
+    _require_finite(vol=vol, diam=diam, c_n=c_n)
     if vol <= 0 or diam <= 0 or c_n <= 0:
         raise ValueError("vol, diam, c_n must be positive")
     if n < 2:
@@ -322,7 +332,7 @@ def _stratified_gaps(n_gaps: int, first: int, uniform: int):
 
 def _max_contour_diam_exactish(complex, field, first, uniform):
     """Max intrinsic contour diameter over stratified levels, by the
-    farthest-point sweep on each contour.
+    farthest-point sweep on each contour, one kernel call per gap.
 
     Stratification counts the gaps actually carrying level sets, so tied
     vertex values (whole rings at one height, say) do not dilute it."""
@@ -333,9 +343,8 @@ def _max_contour_diam_exactish(complex, field, first, uniform):
     for seq, gap in enumerate(scan.gaps()):
         if seq not in wanted or gap.n_crossings < 2:
             continue
-        for c in gap.contours():
-            if len(c) >= 2:
-                best = max(best, _sweep_diameter(complex, c))
+        best = max(best, float(sweep_diameters(complex,
+                                               gap.contours()).max()))
     return best
 
 
@@ -373,9 +382,8 @@ def _max_contour_diam_certified(complex, field, target, first, uniform):
     for seq, gap in enumerate(scan.gaps()):
         if seq not in retry or gap.n_crossings < 2:
             continue
-        for c in gap.contours():
-            if len(c) >= 2:
-                best = max(best, _sweep_diameter(complex, c))
+        best = max(best, float(sweep_diameters(complex,
+                                               gap.contours()).max()))
         if best >= target:
             break
     return best

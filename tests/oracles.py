@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's production code paths:
 shortest paths are a textbook binary-heap Dijkstra (cross-checked by
 Bellman-Ford), level-set components come from a flood fill over crossing
 edges, vertex links from a flood fill over each link, and quotient
-distances are a Dijkstra over the Reeb graph nodes.
+distances are a Dijkstra over the Reeb graph nodes.  The farthest-point
+sweep reference runs one contour at a time and reads its rows straight
+from scipy's Dijkstra, bypassing the library's distance provider.
 Run as a script to print the values the tests freeze.
 """
 
@@ -201,6 +203,41 @@ def contour_intrinsic_diameter(complex, values, level, edge_ids):
                     da_j + dj[ib] + db_i, da_j + dj[jb] + db_j)
             best = max(best, d)
     return best
+
+
+def sweep_diameter(complex, contour, hops=8):
+    """The farthest-point sweep on one contour, one hop at a time, with
+    each hop's two rows read from scipy's Dijkstra.  Returns the estimate
+    and the number of hops run, the stopping one included."""
+    from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
+
+    n = len(contour)
+    if n <= 1:
+        return 0.0, 0
+    ends = complex.edges[contour.edge_ids]
+    lens = complex.lengths[contour.edge_ids]
+    off_lo = contour.params * lens
+    off_hi = (1.0 - contour.params) * lens
+    cur = 0
+    if complex.coords is not None:
+        pts = contour.points(complex)
+        far = pts - pts.mean(axis=0)
+        cur = int(np.argmax(np.einsum("ij,ij->i", far, far)))
+    best = 0.0
+    for hop in range(1, hops + 1):
+        d2 = scipy_dijkstra(complex.adjacency, directed=False,
+                            indices=ends[cur])
+        dq = d2[0, ends[:, 0]] + off_lo[cur] + off_lo
+        np.minimum(dq, d2[0, ends[:, 1]] + off_lo[cur] + off_hi, out=dq)
+        np.minimum(dq, d2[1, ends[:, 0]] + off_hi[cur] + off_lo, out=dq)
+        np.minimum(dq, d2[1, ends[:, 1]] + off_hi[cur] + off_hi, out=dq)
+        dq[cur] = 0.0
+        nxt = int(np.argmax(dq))
+        if dq[nxt] <= best * (1.0 + 1e-12):
+            return best, hop
+        best = float(dq[nxt])
+        cur = nxt
+    return best, hops
 
 
 # ---------------------------------------------------------------- Reeb metric

@@ -219,6 +219,51 @@ def test_verify_rejects_unknown_suite(runner):
     assert "Invalid value" in res.stderr
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "thm62", "--h", "inf"],
+    ["verify", "--suite", "thm52", "--h", "nan"],
+    ["verify", "--suite", "chain", "--tol", "nan"],
+    ["verify", "--suite", "rules", "--tol", "-inf"],
+    ["width", "local", "--r", "nan", "--k", "0", "--n", "2"],
+    ["width", "local", "--r", "1", "--k", "inf", "--n", "2"],
+    ["width", "global", "--inj", "nan", "--k", "0", "--dim", "2"],
+    ["width", "global", "--inj", "1", "--k", "-inf", "--dim", "2"],
+    ["width", "global", "--inj", "1", "--k", "0", "--dim", "2",
+     "--vol", "inf", "--diam", "1", "--c", "1"],
+    ["width", "global", "--inj", "1", "--k", "0", "--dim", "2",
+     "--vol", "1", "--diam", "nan", "--c", "1"],
+    ["width", "global", "--inj", "1", "--k", "0", "--dim", "2",
+     "--vol", "1", "--diam", "1", "--c", "nan"],
+    ["width", "global", "--inj", "1", "--k", "0", "--dim", "2",
+     "--vol", "1", "--diam", "1", "--c", "0"],
+])
+def test_non_finite_options_exit_with_a_usage_error(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.output
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "chain", "--tol", "0.1", "--h", "0.5"],
+    ["width", "local", "--r", "1", "--k", "0", "--n", "2"],
+    ["width", "global", "--inj", "1", "--k", "0", "--dim", "2",
+     "--vol", "1", "--diam", "1", "--c", "2"],
+])
+def test_finite_options_print_strict_json(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert _strict_json(res.stdout)["schema"] == 1
+
+
 def test_verify_output_is_deterministic_across_processes():
     cmd = [sys.executable, "-m", "reebscope.cli", "verify", "--suite",
            "chain", "--seed", "7"]

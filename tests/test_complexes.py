@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from reebscope.complexes import (ScalarField, SimplicialComplex,
+from reebscope.complexes import (Contour, ScalarField, SimplicialComplex,
                                  analytic_field, betti_numbers,
                                  contour_diameter, contours_at,
                                  euler_characteristic, height_field,
@@ -27,6 +27,7 @@ from reebscope.complexes.generators import (circle_mesh, disk_mesh,
                                             tripod_field, uv_sphere_mesh,
                                             wedge_circles_mesh)
 from reebscope.complexes import geodesic
+from reebscope.complexes.contours import sweep_diameters
 from reebscope.complexes.geodesic import (ALL_PAIRS_BUDGET_BYTES, diameter,
                                           distance_rows, single_source,
                                           vertex_distances)
@@ -580,6 +581,88 @@ def test_distortion_and_contour_diameter_share_one_dijkstra_call(
     assert distortion(cx, f, graph, qmap, pairs="all") > 0.0
     assert max_contour_diameter(cx, f) > 0.0
     assert len(calls) == 1 and calls[0] is None
+
+
+# ------------------------------------------------------ farthest-point sweep
+
+def _gap_contours(cx, f):
+    return [c for gap in LevelScan(cx, f).gaps() for c in gap.contours()]
+
+
+def _check_sweep(cx, conts, hops=8):
+    """The batched sweep equals the per-contour reference bit for bit;
+    returns the most hops the reference ran on one contour."""
+    want = [oracles.sweep_diameter(cx, c, hops) for c in conts]
+    assert sweep_diameters(cx, conts, hops).tolist() == [d for d, _ in want]
+    return max([ran for _, ran in want], default=0)
+
+
+def _counted_dijkstra(monkeypatch):
+    calls = []
+    inner = geodesic.vertex_distances
+
+    def counted(complex, sources=None):
+        calls.append(None if sources is None else len(sources))
+        return inner(complex, sources)
+
+    monkeypatch.setattr(geodesic, "vertex_distances", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cx", small_fixtures(), ids=lambda cx: cx.name)
+def test_sweep_matches_the_reference_on_tied_fields(cx):
+    rng = np.random.default_rng(16)
+    for _ in range(4):
+        f = ScalarField(rng.integers(0, 4, cx.n_vertices).astype(float))
+        _check_sweep(cx, _gap_contours(cx, f))
+
+
+def test_sweep_on_a_metric_only_complex_starts_at_the_first_crossing():
+    cx = torus_mesh(12, 6)
+    bare = SimplicialComplex(triangles=cx.triangles, lengths=cx.lengths,
+                             edges=cx.edges, n_vertices=cx.n_vertices)
+    assert bare.coords is None
+    f = ScalarField(cx.coords[:, 0] + 0.3 * cx.coords[:, 2])
+    conts = _gap_contours(bare, f)
+    assert _check_sweep(bare, conts) > 2
+    for hops in (1, 2):
+        assert _check_sweep(bare, conts, hops) == hops
+
+
+def test_sweep_on_contours_of_one_and_two_crossings():
+    cx = torus_mesh(8, 4)
+    big = max(_gap_contours(cx, height_field(cx)), key=len)
+
+    def part(at):
+        return Contour(big.level, big.edge_ids[at], big.params[at])
+
+    one, two, apart = part([0]), part([0, 1]), part([0, len(big) // 2])
+    assert sweep_diameters(cx, []).shape == (0,)
+    assert sweep_diameters(cx, [one]).tolist() == [0.0]
+    _check_sweep(cx, [one, two, big, one, apart])
+    assert sweep_diameters(cx, [apart])[0] > 0.0
+
+
+def test_sweep_above_the_budget_runs_one_dijkstra_call_per_hop(
+        monkeypatch):
+    cx = torus_mesh(16, 8)
+    conts = _gap_contours(cx, height_field(cx))
+    monkeypatch.setattr(geodesic, "ALL_PAIRS_BUDGET_BYTES",
+                        8 * cx.n_vertices ** 2 - 1)
+    calls = _counted_dijkstra(monkeypatch)
+    hops = _check_sweep(cx, conts)
+    assert hops > 1
+    assert len(calls) == hops and None not in calls
+
+
+def test_sweep_above_the_budget_splits_a_hop_at_the_budget(monkeypatch):
+    cx = torus_mesh(16, 8)
+    conts = _gap_contours(cx, height_field(cx))
+    monkeypatch.setattr(geodesic, "ALL_PAIRS_BUDGET_BYTES",
+                        8 * cx.n_vertices * 3)
+    calls = _counted_dijkstra(monkeypatch)
+    hops = _check_sweep(cx, conts)
+    assert len(calls) > hops and max(calls) == 3
 
 
 # ------------------------------------------------------------------- file io

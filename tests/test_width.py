@@ -78,6 +78,19 @@ def test_geometry_validation():
         GlobalGeometry(1.0, 1.0, 2, vol=0.0)
     with pytest.raises(ValueError, match="diameter"):
         GlobalGeometry(1.0, 1.0, 2, diam=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LocalGeometry(bad, 1.0, 2)
+        with pytest.raises(ValueError, match="finite"):
+            LocalGeometry(1.0, bad, 2)
+        with pytest.raises(ValueError, match="finite"):
+            GlobalGeometry(bad, 1.0, 2)
+        with pytest.raises(ValueError, match="finite"):
+            GlobalGeometry(1.0, bad, 2)
+        with pytest.raises(ValueError, match="finite"):
+            GlobalGeometry(1.0, 1.0, 2, vol=bad)
+        with pytest.raises(ValueError, match="finite"):
+            GlobalGeometry(1.0, 1.0, 2, diam=bad)
 
 
 # ------------------------------------------------------------ global bound
@@ -205,6 +218,11 @@ def test_urysohn_volume_lower():
         urysohn_volume_lower(0.0, 1.0, 2, 1.0)
     with pytest.raises(ValueError):
         urysohn_volume_lower(1.0, 1.0, 1, 1.0)
+    for bad in (math.nan, math.inf):
+        for args in ((bad, 1.0, 2, 1.0), (1.0, bad, 2, 1.0),
+                     (1.0, 1.0, 2, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                urysohn_volume_lower(*args)
 
 
 # ------------------------------------------------------------ disk verifier
