@@ -306,18 +306,8 @@ def sweep_diameters(complex: SimplicialComplex, contours,
     ends, off_lo, off_hi = crossing_geometry(complex, edge_ids, params)
     sizes = sizes[live]
     starts = np.cumsum(sizes) - sizes
-    cur = starts.copy()
-    if complex.coords is not None:
-        a = complex.coords[ends[:, 0]]
-        pts = a + params[:, None] * (complex.coords[ends[:, 1]] - a)
-        # np.add.reduceat would sum in another order than a contour's own
-        # mean; equal sizes share one (contours, size, 3) mean instead
-        centroid = np.empty_like(pts)
-        for n in np.unique(sizes).tolist():
-            at = starts[sizes == n, None] + np.arange(n)
-            centroid[at] = pts[at].mean(axis=1, keepdims=True)
-        far = pts - centroid
-        _, cur = _segment_argmax(np.einsum("ij,ij->i", far, far), starts)
+    cur = (starts.copy() if complex.coords is None else
+           _farthest_from_centroid(complex, ends, params, sizes, starts))
 
     best = np.zeros(sizes.size)
     run = np.arange(sizes.size)
@@ -326,16 +316,12 @@ def sweep_diameters(complex: SimplicialComplex, contours,
         first = np.cumsum(n) - n
         at = np.repeat(starts[run] - first, n) + np.arange(int(n.sum()))
         c = np.repeat(cur[run], n)
-        # the four (end of current, end of crossing) terms in one call
-        ec, ea = ends[c].T, ends[at].T
-        d = pair_distances(complex,
-                           np.concatenate([ec[0], ec[0], ec[1], ec[1]]),
-                           np.concatenate([ea[0], ea[1], ea[0], ea[1]])
-                           ).reshape(4, -1)
-        dq = d[0] + off_lo[c] + off_lo[at]
-        np.minimum(dq, d[1] + off_lo[c] + off_hi[at], out=dq)
-        np.minimum(dq, d[2] + off_hi[c] + off_lo[at], out=dq)
-        np.minimum(dq, d[3] + off_hi[c] + off_hi[at], out=dq)
+        # d[i, j] = D(end i of the current crossing, end j of the crossing)
+        d = pair_distances(complex, ends[c].T[:, None], ends[at].T[None])
+        dq = d[0, 0] + off_lo[c] + off_lo[at]
+        np.minimum(dq, d[0, 1] + off_lo[c] + off_hi[at], out=dq)
+        np.minimum(dq, d[1, 0] + off_hi[c] + off_lo[at], out=dq)
+        np.minimum(dq, d[1, 1] + off_hi[c] + off_hi[at], out=dq)
         dq[first + cur[run] - starts[run]] = 0.0
         top, nxt = _segment_argmax(dq, first)
         grow = ~(top <= best[run] * (1.0 + 1e-12))
@@ -346,6 +332,19 @@ def sweep_diameters(complex: SimplicialComplex, contours,
         cur[run] = at[nxt]
     out[live] = best
     return out
+
+
+def _farthest_from_centroid(complex, ends, params, sizes, starts):
+    """Per contour of the batch, the index of its crossing point farthest
+    from the contour's centroid."""
+    a = complex.coords[ends[:, 0]]
+    pts = a + params[:, None] * (complex.coords[ends[:, 1]] - a)
+    # np.add.reduceat would sum in another order than a contour's own mean;
+    # equal sizes share one (contours, size, 3) mean instead
+    for n in np.unique(sizes).tolist():
+        at = starts[sizes == n, None] + np.arange(n)
+        pts[at] -= pts[at].mean(axis=1, keepdims=True)
+    return _segment_argmax(np.einsum("ij,ij->i", pts, pts), starts)[1]
 
 
 def _segment_argmax(x, starts):

@@ -72,14 +72,16 @@ def distance_rows(complex: SimplicialComplex, sources=None):
 
 
 def pair_distances(complex: SimplicialComplex, rows, cols):
-    """The distances `vertex_distances(complex)[rows, cols]` for aligned
-    vertex arrays, with at most `ALL_PAIRS_BUDGET_BYTES / (8 V)` sources
-    per Dijkstra call above the budget."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    """The distances `vertex_distances(complex)[rows, cols]` for vertex
+    arrays broadcast against each other, with at most
+    `ALL_PAIRS_BUDGET_BYTES / (8 V)` sources per Dijkstra call above the
+    budget."""
     if _fits_budget(complex):
         return distance_rows(complex)[rows, cols]
+    rows, cols = np.broadcast_arrays(np.asarray(rows, dtype=np.int64),
+                                     np.asarray(cols, dtype=np.int64))
     sources, at = np.unique(rows, return_inverse=True)
+    at = at.reshape(rows.shape)
     step = max(1, ALL_PAIRS_BUDGET_BYTES // (8 * complex.n_vertices))
     out = np.empty(rows.shape)
     for lo in range(0, sources.size, step):

@@ -330,22 +330,29 @@ def _stratified_gaps(n_gaps: int, first: int, uniform: int):
     return wanted
 
 
+def _swept_max(complex, field, chosen, target=math.inf):
+    """Largest farthest-point sweep diameter over the contours of the
+    `chosen` gaps, counted among the gaps carrying level sets, with one
+    kernel call per gap; stops once `target` is reached."""
+    best = 0.0
+    for seq, gap in enumerate(LevelScan(complex, field).gaps()):
+        if seq in chosen and gap.n_crossings >= 2:
+            best = max(best, float(sweep_diameters(complex,
+                                                   gap.contours()).max()))
+            if best >= target:
+                break
+    return best
+
+
 def _max_contour_diam_exactish(complex, field, first, uniform):
     """Max intrinsic contour diameter over stratified levels, by the
-    farthest-point sweep on each contour, one kernel call per gap.
+    farthest-point sweep on each contour.
 
     Stratification counts the gaps actually carrying level sets, so tied
     vertex values (whole rings at one height, say) do not dilute it."""
-    best = 0.0
     n_gaps = np.unique(field.resolved_values).shape[0] - 1
-    wanted = _stratified_gaps(n_gaps, first, uniform)
-    scan = LevelScan(complex, field)
-    for seq, gap in enumerate(scan.gaps()):
-        if seq not in wanted or gap.n_crossings < 2:
-            continue
-        best = max(best, float(sweep_diameters(complex,
-                                               gap.contours()).max()))
-    return best
+    return _swept_max(complex, field,
+                      _stratified_gaps(n_gaps, first, uniform))
 
 
 def _max_contour_diam_certified(complex, field, target, first, uniform):
@@ -378,15 +385,7 @@ def _max_contour_diam_certified(complex, field, target, first, uniform):
     # extrinsic folding may hide a long contour; re-examine the top levels
     candidates.sort(reverse=True)
     retry = {s for _, s in candidates[:10]}
-    scan = LevelScan(complex, field)
-    for seq, gap in enumerate(scan.gaps()):
-        if seq not in retry or gap.n_crossings < 2:
-            continue
-        best = max(best, float(sweep_diameters(complex,
-                                               gap.contours()).max()))
-        if best >= target:
-            break
-    return best
+    return max(best, _swept_max(complex, field, retry, target))
 
 
 @dataclass(frozen=True)
