@@ -28,25 +28,23 @@ class Contour:
 
     edge_ids / params are aligned: crossing c sits on edge `edge_ids[c]` at
     parameter `params[c]` measured from the lower-id endpoint.  `segments`
-    lists index pairs into the crossing arrays, one per active triangle.
+    is a (k, 2) int array of index pairs into the crossing arrays, one
+    pair per active triangle, each pair ascending.
     """
     level: float
     edge_ids: np.ndarray
     params: np.ndarray
-    segments: list = dataclass_field(default_factory=list)
+    segments: np.ndarray = dataclass_field(
+        default_factory=lambda: np.empty((0, 2), dtype=np.int64))
 
     def __len__(self):
         return self.edge_ids.shape[0]
 
     def points(self, complex: SimplicialComplex):
-        if complex.coords is None:
-            raise ValueError("contour points need embedded coordinates")
-        a = complex.coords[complex.edges[self.edge_ids, 0]]
-        b = complex.coords[complex.edges[self.edge_ids, 1]]
-        return a + self.params[:, None] * (b - a)
+        return crossing_points(complex, self.edge_ids, self.params)
 
     def length(self, complex: SimplicialComplex) -> float:
-        if not self.segments:
+        if len(self.segments) == 0:
             return 0.0
         p = self.points(complex)
         seg = np.asarray(self.segments, dtype=np.int64)
@@ -220,7 +218,7 @@ def level_contours(complex: SimplicialComplex, g, pieces: LevelPieces,
         segs = pieces.joins[pieces.join_bounds[p]:pieces.join_bounds[p + 1]]
         out.append(Contour(level=float(level), edge_ids=ids,
                            params=(level - ga) / (gb - ga),
-                           segments=np.sort(segs - lo, axis=1).tolist()))
+                           segments=np.sort(segs - lo, axis=1)))
     return out
 
 
@@ -233,6 +231,15 @@ def contours_at(complex: SimplicialComplex, field: ScalarField, level: float):
         raise NonGenericLevelError(f"level {level!r} hits a vertex value")
     return level_contours(complex, g, label_level_sets(complex, g, [level]),
                           0, level)
+
+
+def crossing_points(complex: SimplicialComplex, edge_ids, params):
+    """Embedded points of the crossings at `params` along `edge_ids`."""
+    if complex.coords is None:
+        raise ValueError("contour points need embedded coordinates")
+    a = complex.coords[complex.edges[edge_ids, 0]]
+    b = complex.coords[complex.edges[edge_ids, 1]]
+    return a + params[:, None] * (b - a)
 
 
 def crossing_geometry(complex: SimplicialComplex, edge_ids, params):
@@ -249,14 +256,14 @@ def contour_diameter(complex: SimplicialComplex, contour: Contour,
 
     `intrinsic` measures through the edge skeleton (crossings are treated as
     subdivision points, so endpoint detours are exact); `extrinsic` is the
-    Euclidean chord length and needs coordinates.
+    Euclidean chord length, exact by `piece_diameters`, and needs
+    coordinates.
     """
     n = len(contour)
     if n <= 1:
         return 0.0
     if mode == "extrinsic":
-        from scipy.spatial.distance import pdist
-        return float(pdist(contour.points(complex)).max())
+        return float(extrinsic_diameters(complex, [contour])[0])
     if mode != "intrinsic":
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -307,7 +314,7 @@ def sweep_diameters(complex: SimplicialComplex, contours,
     sizes = sizes[live]
     starts = np.cumsum(sizes) - sizes
     cur = (starts.copy() if complex.coords is None else
-           _farthest_from_centroid(complex, ends, params, sizes, starts))
+           _farthest_from_centroid(complex, edge_ids, params, sizes, starts))
 
     best = np.zeros(sizes.size)
     run = np.arange(sizes.size)
@@ -334,11 +341,10 @@ def sweep_diameters(complex: SimplicialComplex, contours,
     return out
 
 
-def _farthest_from_centroid(complex, ends, params, sizes, starts):
+def _farthest_from_centroid(complex, edge_ids, params, sizes, starts):
     """Per contour of the batch, the index of its crossing point farthest
     from the contour's centroid."""
-    a = complex.coords[ends[:, 0]]
-    pts = a + params[:, None] * (complex.coords[ends[:, 1]] - a)
+    pts = crossing_points(complex, edge_ids, params)
     # np.add.reduceat would sum in another order than a contour's own mean;
     # equal sizes share one (contours, size, 3) mean instead
     for n in np.unique(sizes).tolist():
@@ -354,3 +360,94 @@ def _segment_argmax(x, starts):
     seg = np.repeat(np.arange(starts.size), np.diff(np.append(starts, x.size)))
     hit = np.where(x == top[seg], np.arange(x.size), x.size)
     return top, np.minimum.reduceat(hit, starts)
+
+
+# Point pairs measured at once by piece_diameters: its index and distance
+# arrays then take a few megabytes.
+_PAIR_CHUNK = 1 << 16
+
+
+def extrinsic_diameters(complex: SimplicialComplex, contours) -> np.ndarray:
+    """Largest Euclidean distance between two crossing points of each
+    contour, by one `piece_diameters` call."""
+    sizes = [len(c) for c in contours]
+    if sum(sizes) == 0:
+        return np.zeros(len(sizes))
+    pts = crossing_points(complex,
+                          np.concatenate([c.edge_ids for c in contours]),
+                          np.concatenate([c.params for c in contours]))
+    return piece_diameters(pts, np.concatenate([[0], np.cumsum(sizes)]))
+
+
+def piece_diameters(pts, bounds) -> np.ndarray:
+    """Largest pairwise Euclidean distance within each piece of the point
+    array `pts`, where piece p owns rows `bounds[p]:bounds[p + 1]`; a piece
+    of fewer than two points measures 0.
+
+    Exact: each squared distance is summed as (dx*dx + dy*dy) + dz*dz and
+    the square root taken once, of a piece's largest, so the value is, bit
+    for bit, the largest of the piece's pair distances computed one by one
+    that way.  Only points that can lie on a farthest pair are paired.
+    With r a point's distance to the piece's centroid, R the largest r,
+    and L the distance from the point at R to the point farthest from it,
+    a farthest pair has r_i + r_j >= D >= L, so both its points have
+    r >= L - R (Har-Peled, SoCG 2001).  The test gives way by 1e-9 of
+    L + R, far above rounding, so it never drops such a point.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    sizes = np.diff(bounds)
+    out = np.zeros(sizes.size)
+    live = sizes > 1
+    if not live.any():
+        return out
+    pts = pts[bounds[0]:bounds[-1]][np.repeat(live, sizes)]
+    sizes = sizes[live]
+    starts = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(sizes.size), sizes)
+
+    centroid = np.add.reduceat(pts, starts, axis=0) / sizes[:, None]
+    r2 = _squared_distances(pts.T, centroid[seg].T)
+    far_r2, far = _segment_argmax(r2, starts)
+    best = _segment_argmax(_squared_distances(pts.T, pts[far][seg].T),
+                           starts)[0]
+    big_r, far_l = np.sqrt(far_r2), np.sqrt(best)
+    cut = np.maximum(far_l - big_r - 1e-9 * (far_l + big_r), 0.0)
+    keep = np.flatnonzero(r2 >= (cut * cut)[seg])
+
+    # pair each kept point with the kept points after it in its piece, a
+    # chunk of rows at a time; pairs come ordered by piece
+    cols = [np.ascontiguousarray(c) for c in pts[keep].T]
+    owner = seg[keep]
+    n_after = (np.cumsum(np.bincount(owner, minlength=sizes.size))[owner]
+               - np.arange(keep.size) - 1)
+    before = np.concatenate([[0], np.cumsum(n_after)])
+    lo = 0
+    while lo < keep.size:
+        hi = max(lo + 1, int(np.searchsorted(
+            before, before[lo] + _PAIR_CHUNK, side="right")) - 1)
+        n = n_after[lo:hi]
+        i = np.repeat(np.arange(lo, hi), n)
+        j = i + 1 + np.arange(i.size) - np.repeat(before[lo:hi] - before[lo],
+                                                  n)
+        lo = hi
+        if i.size == 0:
+            continue
+        sq = _squared_distances((c[i] for c in cols), (c[j] for c in cols))
+        piece = owner[i]
+        first = np.flatnonzero(np.diff(piece, prepend=-1))
+        p = piece[first]
+        best[p] = np.maximum(best[p], np.maximum.reduceat(sq, first))
+    out[live] = np.sqrt(best)
+    return out
+
+
+def _squared_distances(p_cols, q_cols):
+    """Squared distances between points given by their coordinate columns,
+    summed in column order: (dx*dx + dy*dy) + dz*dz."""
+    sq = 0.0
+    for a, b in zip(p_cols, q_cols):
+        d = a - b
+        d *= d
+        sq += d
+    return sq

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes.contours import (batch_end, crossing_counts,
-                                 label_level_sets, link_components,
+                                 extrinsic_diameters, label_level_sets,
+                                 link_components, piece_diameters,
                                  sweep_diameters)
 from .complexes.levelscan import LevelScan
 from .complexes.simplicial import ScalarField, SimplicialComplex
@@ -238,13 +239,13 @@ def _piece_points(complex, g, pieces):
     return pts, onb
 
 
-def _far_point_diameter(pts):
-    """Extrinsic diameter, exact by pdist for small sets and bounded from
-    below by repeated farthest-point hops for big ones."""
-    from scipy.spatial.distance import pdist
+# level pieces with more points than this get a farthest-point lower bound
+_EXACT_POINTS = 1500
 
-    if pts.shape[0] <= 1500:
-        return float(pdist(pts).max())
+
+def _far_point_diameter(pts):
+    """Extrinsic diameter of a big point set, bounded from below by
+    repeated farthest-point hops."""
     p = pts[int(np.argmin(pts[:, 0]))]
     best = 0.0
     for _ in range(4):
@@ -255,6 +256,12 @@ def _far_point_diameter(pts):
         best = float(d[i])
         p = pts[i]
     return best
+
+
+def _masked_diameters(pts, bounds, mask):
+    """Per piece, the extrinsic diameter of its points that `mask` keeps."""
+    kept = np.concatenate([[0], np.cumsum(mask)])[bounds]
+    return piece_diameters(pts[mask], kept)
 
 
 def disk_contour_verify(complex: SimplicialComplex, field: ScalarField,
@@ -269,13 +276,15 @@ def disk_contour_verify(complex: SimplicialComplex, field: ScalarField,
     midpoints in between.  Level sets at those values are scanned with
     their vertices included, so a contour that only touches the boundary
     at isolated vertices, or joins its arms at a saddle, is measured
-    exactly rather than sampled nearby.  Interior diameters over all
-    level points are tracked alongside for the closed-disk form.  With
-    `early_stop` the scan ends at the first level clearing the
-    threshold, keeping the report a valid witness.
+    exactly rather than sampled nearby.  Each batch of levels measures all
+    its pieces by `piece_diameters`: the boundary points of every piece,
+    and all points of every piece for the interior diameter of the
+    closed-disk form (a piece of more than 1,500 points gets the
+    farthest-point lower bound instead).  The best boundary diameter is
+    the first level's to reach the largest value.  With `early_stop` the
+    scan ends after the first level clearing the threshold, keeping the
+    report a valid witness.
     """
-    from scipy.spatial.distance import pdist
-
     if complex.coords is None:
         raise ValueError("disk verification needs embedded coordinates")
     if not np.any(complex.boundary_edges):
@@ -297,18 +306,29 @@ def disk_contour_verify(complex: SimplicialComplex, field: ScalarField,
         start += len(batch)
         pieces = label_level_sets(complex, g, batch)
         pts, onb = _piece_points(complex, g, pieces)
-        for k, c in enumerate(batch):
-            for p in pieces.pieces_at(k):
-                lo, hi = pieces.bounds[p], pieces.bounds[p + 1]
-                if hi - lo < 2:
-                    continue
-                best_i = max(best_i, _far_point_diameter(pts[lo:hi]))
-                if int(onb[lo:hi].sum()) >= 2:
-                    db = float(pdist(pts[lo:hi][onb[lo:hi]]).max())
-                    if db > best_b:
-                        best_b, best_level = db, float(c)
-            if early_stop and best_b >= threshold:
-                return DiskReport(best_level, best_b, best_i, threshold, True)
+        bounds = pieces.bounds
+        sizes = np.diff(bounds)
+        inner = _masked_diameters(pts, bounds,
+                                  np.repeat(sizes <= _EXACT_POINTS, sizes))
+        for p in np.flatnonzero(sizes > _EXACT_POINTS).tolist():
+            inner[p] = _far_point_diameter(pts[bounds[p]:bounds[p + 1]])
+        outer = _masked_diameters(pts, bounds, onb)
+
+        # the running bests after each level of the batch
+        ends = np.searchsorted(pieces.piece_level, np.arange(len(batch)),
+                               side="right")
+        run_i = np.maximum.accumulate(np.append(best_i, inner))[ends]
+        run_b = np.maximum.accumulate(np.append(best_b, outer))[ends]
+        last = len(batch) - 1
+        if early_stop and run_b[-1] >= threshold:
+            last = int(np.argmax(run_b >= threshold))
+        if run_b[last] > best_b:
+            best_b = float(run_b[last])
+            k = pieces.piece_level[int(np.argmax(outer == best_b))]
+            best_level = float(batch[k])
+        best_i = float(run_i[last])
+        if early_stop and best_b >= threshold:
+            return DiskReport(best_level, best_b, best_i, threshold, True)
     return DiskReport(best_level, best_b, best_i, threshold,
                       best_b >= threshold)
 
@@ -362,8 +382,6 @@ def _max_contour_diam_certified(complex, field, target, first, uniform):
     arcs (valid on the unit sphere) and stops once `target` is cleared; if
     that fails, the most promising levels get the full sweep treatment.
     """
-    from scipy.spatial.distance import pdist
-
     best = 0.0
     candidates = []
     n_gaps = np.unique(field.resolved_values).shape[0] - 1
@@ -372,11 +390,8 @@ def _max_contour_diam_certified(complex, field, target, first, uniform):
     for seq, gap in enumerate(scan.gaps()):
         if seq not in wanted or gap.n_crossings < 2:
             continue
-        level_best = 0.0
-        for c in gap.contours():
-            if len(c) >= 2:
-                arc = _unit_sphere_arc(float(pdist(c.points(complex)).max()))
-                level_best = max(level_best, arc)
+        level_best = _unit_sphere_arc(float(
+            extrinsic_diameters(complex, gap.contours()).max()))
         best = max(best, level_best)
         if best >= target:
             return best
@@ -428,6 +443,8 @@ def hemisphere_width_verify(h: float = 0.02, tol: float = 0.08,
                                        tripod_field)
     from .complexes.simplicial import ScalarField
 
+    if not 0 < h < math.inf:
+        raise ValueError("h must be positive and finite")
     mesh = hemisphere_mesh(max(2, round(math.pi / 2.0 / h)))
     target = TRIPOD_WIDTH - tol
     rng = np.random.default_rng(seed)

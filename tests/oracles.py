@@ -6,7 +6,9 @@ Bellman-Ford), level-set components come from a flood fill over crossing
 edges, vertex links from a flood fill over each link, and quotient
 distances are a Dijkstra over the Reeb graph nodes.  The farthest-point
 sweep reference runs one contour at a time and reads its rows straight
-from scipy's Dijkstra, bypassing the library's distance provider.
+from scipy's Dijkstra, bypassing the library's distance provider.  The
+disk verifier reference measures one level piece at a time with scipy's
+pdist, in the scan order.
 Run as a script to print the values the tests freeze.
 """
 
@@ -238,6 +240,40 @@ def sweep_diameter(complex, contour, hops=8):
         best = float(dq[nxt])
         cur = nxt
     return best, hops
+
+
+def disk_contour_verify(complex, field, tol=0.05, early_stop=True):
+    """The disk verifier's scan with every level piece measured by its own
+    pdist calls, level after level, all levels labelled in one batch.
+    The candidate levels and the pieces come from the library, whose
+    labelling other tests check against the flood fill and the link
+    oracle; the measuring and the running bests are redone here.  Exact
+    for pieces of any size, so it matches the library where no piece has
+    more than 1,500 points.  Returns the `DiskReport` fields as a tuple."""
+    from scipy.spatial.distance import pdist
+    from reebscope.complexes.contours import label_level_sets
+    from reebscope.width import _candidate_levels, _piece_points
+
+    threshold = math.sqrt(3.0) - tol
+    g = field.resolved_values
+    base = _candidate_levels(complex, g)
+    levels = sorted(base + [0.5 * (a + b) for a, b in zip(base, base[1:])])
+    pieces = label_level_sets(complex, g, levels)
+    pts, onb = _piece_points(complex, g, pieces)
+    best_level, best_b, best_i = None, 0.0, 0.0
+    for k, c in enumerate(levels):
+        for p in pieces.pieces_at(k):
+            lo, hi = pieces.bounds[p], pieces.bounds[p + 1]
+            if hi - lo >= 2:
+                best_i = max(best_i, float(pdist(pts[lo:hi]).max()))
+            on = pts[lo:hi][onb[lo:hi]]
+            if on.shape[0] >= 2:
+                db = float(pdist(on).max())
+                if db > best_b:
+                    best_b, best_level = db, float(c)
+        if early_stop and best_b >= threshold:
+            break
+    return best_level, best_b, best_i, threshold, best_b >= threshold
 
 
 # ---------------------------------------------------------------- Reeb metric

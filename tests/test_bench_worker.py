@@ -1,0 +1,59 @@
+"""The benchmark's worker runs on this checkout.
+
+perfbench/worker.py reaches the program through `cli.load_complex`,
+`cli.load_field`, `cli.build_reeb`, the graph's exports and counts, and
+the disk suite.  Each round here runs in a fresh process, as the
+benchmark runs it, and must exit 0 with its own checks passing.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def _inputs():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  PERFBENCH / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _round(args, hash_seed="0"):
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    res = subprocess.run([sys.executable, str(PERFBENCH / "worker.py"),
+                          *map(str, args)], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.strip().splitlines()[-1])
+
+
+def test_reeb_mesh_round_passes_its_checks_and_is_reproducible(tmp_path):
+    inputs = _inputs()
+    coords, triangles = inputs.genus3_mesh()
+    mesh, field = tmp_path / "genus3.off", tmp_path / "field-2.txt"
+    inputs.write_off(mesh, coords, triangles)
+    inputs.write_field(field, inputs.random_field(coords, 2))
+    digests = []
+    for hash_seed in ("0", "1"):
+        doc = _round(["reeb-mesh", 2, 0, mesh, field,
+                      tmp_path / f"graph-{hash_seed}"], hash_seed)
+        assert doc["errors"] == []
+        assert doc["attempted"] == 1 and doc["failed"] == 0
+        digests.append(doc["digest"])
+    assert digests[0] == digests[1]
+
+
+def test_thm62_round_passes_its_checks(tmp_path):
+    doc = _round(["thm62", 1, 0, "-", "-", tmp_path / "thm62"])
+    assert doc["errors"] == []
+    assert doc["attempted"] == 12

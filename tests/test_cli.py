@@ -242,6 +242,8 @@ def _strict_json(text):
      "--vol", "1", "--diam", "1", "--c", "nan"],
     ["width", "global", "--inj", "1", "--k", "0", "--dim", "2",
      "--vol", "1", "--diam", "1", "--c", "0"],
+    ["verify", "--suite", "ex66", "--h", "-0.5"],
+    ["verify", "--suite", "ex66", "--h", "0"],
 ])
 def test_non_finite_options_exit_with_a_usage_error(runner, args):
     res = runner.invoke(main, args)

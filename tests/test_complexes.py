@@ -27,7 +27,8 @@ from reebscope.complexes.generators import (circle_mesh, disk_mesh,
                                             tripod_field, uv_sphere_mesh,
                                             wedge_circles_mesh)
 from reebscope.complexes import geodesic
-from reebscope.complexes.contours import sweep_diameters
+from reebscope.complexes import contours
+from reebscope.complexes.contours import piece_diameters, sweep_diameters
 from reebscope.complexes.geodesic import (ALL_PAIRS_BUDGET_BYTES, diameter,
                                           distance_rows, single_source,
                                           vertex_distances)
@@ -378,6 +379,56 @@ def test_extrinsic_diameter_of_top_circle():
     (cont,) = contours_at(cx, height_field(cx), 1.03)
     d = contour_diameter(cx, cont, mode="extrinsic")
     assert 2 * 0.6 < d < 2 * 1.4
+    assert d == _pdist_max(cont.points(cx))
+
+
+def _pdist_max(pts):
+    from scipy.spatial.distance import pdist
+    return float(pdist(pts).max()) if len(pts) > 1 else 0.0
+
+
+def _point_set(kind, n, rng):
+    if kind == "random":
+        return rng.normal(size=(n, 3))
+    if kind == "tied":
+        return rng.integers(-2, 3, size=(n, 3)).astype(float)
+    if kind == "collinear":
+        return np.outer(rng.normal(size=n), rng.normal(size=3)) + 0.5
+    if kind == "planar":
+        return np.column_stack([rng.normal(size=(n, 2)), np.zeros(n)])
+    if kind == "duplicates":
+        return rng.normal(size=(max(1, n // 5), 3))[rng.integers(
+            0, max(1, n // 5), n)]
+    # on a sphere: every point is about as far out, so few are filtered
+    p = rng.normal(size=(n, 3))
+    return p / np.linalg.norm(p, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("kind", ["random", "tied", "collinear", "planar",
+                                  "duplicates", "sphere"])
+def test_piece_diameters_equal_pdist_bit_for_bit(kind, scale):
+    rng = np.random.default_rng([len(kind), int(math.log10(scale)) + 3])
+    sizes = rng.permutation([0, 0, 1, 1, 2, 2, 3, 5, 8, 40, 200, 1500])
+    pts = _point_set(kind, int(sizes.sum()), rng) * scale
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    got = piece_diameters(pts, bounds)
+    want = np.array([_pdist_max(pts[a:b]) for a, b in zip(bounds, bounds[1:])])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_piece_diameters_across_small_pair_chunks(monkeypatch):
+    # chunk edges fall inside pieces and between them, and a chunk may be
+    # a single row longer than the chunk
+    monkeypatch.setattr(contours, "_PAIR_CHUNK", 7)
+    rng = np.random.default_rng(11)
+    sizes = rng.integers(0, 30, size=40)
+    pts = _point_set("sphere", int(sizes.sum()), rng)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    want = np.array([_pdist_max(pts[a:b]) for a, b in zip(bounds, bounds[1:])])
+    assert piece_diameters(pts, bounds).tobytes() == want.tobytes()
+    assert piece_diameters(np.empty((0, 3)), [0]).shape == (0,)
+    assert piece_diameters(np.empty((0, 3)), [0, 0]).tolist() == [0.0]
 
 
 def test_vertex_level_rejected():

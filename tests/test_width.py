@@ -2,6 +2,8 @@
 global-to-local substitution, and the disk / hemisphere verifiers."""
 
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -17,6 +19,7 @@ from reebscope.width import (TRIPOD_WIDTH, GlobalGeometry, LocalGeometry,
                              hemisphere_width_verify, reeb_width_global,
                              reeb_width_local, simplified_bounds,
                              sphere_chord, urysohn_volume_lower)
+from reebscope.complexes import contours
 from reebscope.complexes.contours import label_level_sets, link_components
 from reebscope.suites import _disk_fields
 from reebscope.width import (_candidate_levels, _piece_points,
@@ -308,6 +311,41 @@ def test_disk_verifier_input_validation():
                             ScalarField(closed.coords[:, 2].copy()))
 
 
+@pytest.mark.parametrize("batch", [contours._BATCH_CROSSINGS, 64])
+def test_disk_verifier_matches_the_per_piece_reference(monkeypatch, batch):
+    # every piece measured by its own pdist calls; small batches carry the
+    # running bests and the early stop across many labelling calls
+    monkeypatch.setattr(contours, "_BATCH_CROSSINGS", batch)
+    cx = generate_space("disk", 0.1).complex
+    fields = [f for _, f in _disk_fields(cx, 3, 5)]
+    # tied values: flat pieces, vertices on the level and boundary ties
+    fields.append(ScalarField(np.round(4.0 * cx.coords[:, 0])))
+    fields.append(ScalarField(np.round(3.0 * np.hypot(cx.coords[:, 0],
+                                                      cx.coords[:, 1]))))
+    for f in fields:
+        pieces = label_level_sets(cx, f.resolved_values,
+                                  np.unique(f.resolved_values))
+        assert np.diff(pieces.bounds).max() <= 1500
+        for tol in (0.05, 0.6):
+            for early in (True, False):
+                rep = disk_contour_verify(cx, f, tol=tol, early_stop=early)
+                got = (rep.best_level, rep.boundary_diam, rep.interior_diam,
+                       rep.threshold, rep.passed)
+                assert got == oracles.disk_contour_verify(
+                    cx, f, tol=tol, early_stop=early)
+
+
+def test_disk_suite_does_not_import_scipy_spatial():
+    code = ("import sys\n"
+            "from reebscope.suites import thm62_suite\n"
+            "assert all(r.passed for r in thm62_suite(h=0.1))\n"
+            "print('scipy.spatial' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 def test_disk_report_json():
     cx = disk_mesh(4)
     doc = disk_contour_verify(cx, _disk_field(cx, np.hypot)).to_json_doc()
@@ -422,6 +460,12 @@ def test_unit_sphere_arc():
     arcs = [_unit_sphere_arc(float(x)) for x in xs]
     assert all(a <= b + 1e-15 for a, b in zip(arcs, arcs[1:]))
     assert all(a >= x for a, x in zip(arcs, xs))
+
+
+def test_hemisphere_verify_rejects_bad_resolution():
+    for h in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            hemisphere_width_verify(h=h)
 
 
 def test_hemisphere_verify_coarse_structure():
