@@ -280,10 +280,10 @@ def disk_contour_verify(complex: SimplicialComplex, field: ScalarField,
     its pieces by `piece_diameters`: the boundary points of every piece,
     and all points of every piece for the interior diameter of the
     closed-disk form (a piece of more than 1,500 points gets the
-    farthest-point lower bound instead).  The best boundary diameter is
-    the first level's to reach the largest value.  With `early_stop` the
-    scan ends after the first level clearing the threshold, keeping the
-    report a valid witness.
+    farthest-point lower bound instead).  The reported level is the first
+    to reach the best boundary diameter.  With `early_stop` the scan ends
+    after the first level clearing the threshold, keeping the report a
+    valid witness.
     """
     if complex.coords is None:
         raise ValueError("disk verification needs embedded coordinates")
@@ -323,6 +323,7 @@ def disk_contour_verify(complex: SimplicialComplex, field: ScalarField,
         if early_stop and run_b[-1] >= threshold:
             last = int(np.argmax(run_b >= threshold))
         if run_b[last] > best_b:
+            # the first piece holding the new best sets the level
             best_b = float(run_b[last])
             k = pieces.piece_level[int(np.argmax(outer == best_b))]
             best_level = float(batch[k])

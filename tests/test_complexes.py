@@ -417,6 +417,22 @@ def test_piece_diameters_equal_pdist_bit_for_bit(kind, scale):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_piece_diameters_on_shifted_regular_polygons(scale):
+    # many diametral pairs within rounding of each other: the filter must
+    # keep the farthest one, not just the one it happened to realize
+    rng = np.random.default_rng(int(math.log10(scale)) + 3)
+    polygons = []
+    for n in range(2, 400, 2):
+        t = 2.0 * math.pi * (np.arange(n) / n + rng.uniform())
+        polygons.append(np.column_stack([np.cos(t), np.sin(t), np.zeros(n)])
+                        * scale + rng.normal(size=3))
+    bounds = np.cumsum([0] + [len(p) for p in polygons])
+    want = np.array([_pdist_max(p) for p in polygons])
+    got = piece_diameters(np.concatenate(polygons), bounds)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_piece_diameters_across_small_pair_chunks(monkeypatch):
     # chunk edges fall inside pieces and between them, and a chunk may be
     # a single row longer than the chunk
