@@ -28,7 +28,7 @@ import numpy as np
 
 from .simplicial import ScalarField, SimplicialComplex, height_field
 from .geodesic import single_source
-from .homology import betti_numbers, euler_characteristic
+from .homology import betti_numbers
 
 TORUS_R = 1.0
 TORUS_r = 0.4
@@ -445,8 +445,6 @@ _EXPECTED = {
     "path": ((1, 0, 0), 0),
 }
 
-_CHECK_LIMIT = 2600    # above this many triangles, verify via Euler data
-
 
 def _mult(x: float, base: int, lo: int) -> int:
     return max(lo, base * round(x / base))
@@ -514,20 +512,9 @@ def generate_space(name: str, h: float, check: bool = True, **params
         label = name
 
     if check:
-        got = _verify_topology(cx, expected)
+        got = betti_numbers(cx)
         if got != expected:
             raise ValueError(
                 f"{label}: generated betti {got}, expected {expected}")
     return GeneratedSpace(name=label, complex=cx, field=field,
                           betti=expected, b1_prime=b1p, h=h)
-
-
-def _verify_topology(cx: SimplicialComplex, expected):
-    if cx.n_triangles <= _CHECK_LIMIT:
-        return betti_numbers(cx)
-    # large generated meshes: same invariants from the Euler characteristic,
-    # using b2 = 1 exactly for our closed (orientable) surface generators
-    b0 = cx.n_components
-    b2 = 1 if (cx.is_surface and not np.any(cx.boundary_edges)) else 0
-    b1 = b0 + b2 - euler_characteristic(cx)
-    return b0, b1, b2

@@ -8,7 +8,9 @@ distances are a Dijkstra over the Reeb graph nodes.  The farthest-point
 sweep reference runs one contour at a time and reads its rows straight
 from scipy's Dijkstra, bypassing the library's distance provider.  The
 disk verifier reference measures one level piece at a time with scipy's
-pdist, in the scan order.
+pdist, in the scan order.  Betti numbers come from fraction-free integer
+elimination of the whole triangle boundary matrix, the method the
+library's dual-graph kernel replaced.
 Run as a script to print the values the tests freeze.
 """
 
@@ -328,6 +330,49 @@ def distortion_oracle(complex, field, graph, qmap):
             dr = quotient_distance(graph, qmap, nd, i, j)
             worst = max(worst, abs(float(dx[i, j]) - dr))
     return worst
+
+
+# ---------------------------------------------------------------- homology
+
+def _rank_elimination(cols):
+    """Rank of an integer matrix given as sparse {row: value} columns, by
+    fraction-free elimination with a gcd reduction after each step."""
+    cols = [dict(c) for c in cols if c]
+    rank = 0
+    pivot_of_row = {}
+    cols.sort(key=len)
+    for col in cols:
+        while col:
+            hit = next((r for r in col if r in pivot_of_row), None)
+            if hit is None:
+                break
+            pcol = pivot_of_row[hit]
+            a, b = pcol[hit], col[hit]
+            merged = {r: a * v for r, v in col.items()}
+            for r, v in pcol.items():
+                merged[r] = merged.get(r, 0) - b * v
+            col = {r: v for r, v in merged.items() if v != 0}
+            if col:
+                g = math.gcd(*[abs(v) for v in col.values()])
+                if g > 1:
+                    col = {r: v // g for r, v in col.items()}
+        if col:
+            pivot_of_row[min(col)] = col
+            rank += 1
+    return rank
+
+
+def betti_elimination(complex):
+    """(b0, b1, b2) over Q: b0 by a flood fill, rank ∂2 by eliminating the
+    whole triangle boundary matrix, read from the vertex triples."""
+    edges = [tuple(e) for e in complex.edges.tolist()]
+    eid = {e: k for k, e in enumerate(edges)}
+    b0 = _flood_count(edges, range(complex.n_vertices))
+    cols = [{eid[(i, j)]: 1, eid[(i, k)]: -1, eid[(j, k)]: 1}
+            for i, j, k in complex.triangles.tolist()]
+    rank_d2 = _rank_elimination(cols)
+    b1 = len(edges) - (complex.n_vertices - b0) - rank_d2
+    return b0, b1, len(cols) - rank_d2
 
 
 # ---------------------------------------------------------------- freeze run

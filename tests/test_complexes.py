@@ -5,11 +5,12 @@ recomputes them with plain-Python graph algorithms independent of the
 library code paths.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -38,6 +39,7 @@ from reebscope.complexes.simplicial import (NonGenericLevelError, check_field,
 from reebscope.metric import distortion, max_contour_diameter
 from reebscope.reeb import build_reeb
 from test_reeb import mixed_complexes, small_fixtures
+from test_width import _book
 
 # tests/oracles.py freeze run
 FLAT_TORUS8_CORNER_TO_CENTER = 0.7071067811865476
@@ -350,6 +352,144 @@ def test_known_betti_values():
     assert betti_numbers(flat_torus_mesh(5)) == (1, 2, 1)
     assert betti_numbers(genus_mesh(2, 16, 6)) == (1, 4, 1)
     assert betti_numbers(wedge_circles_mesh(4, 5)) == (1, 4, 0)
+
+
+def _complex(tris, extra=(), n_vertices=None):
+    """Embedded complex on distinct points of the moment curve."""
+    n = n_vertices or 1 + max(max(s) for s in [*tris, *extra])
+    coords = [[float(i), float(i * i), float(i ** 3)] for i in range(n)]
+    return SimplicialComplex(triangles=tris, edges=list(extra),
+                             coords=coords)
+
+
+def _rp2():
+    """The 6-vertex projective plane (hemi-icosahedron)."""
+    return _complex([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                     (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)])
+
+
+def _mobius():
+    return _complex([(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4), (0, 1, 4)])
+
+
+def _klein(n=4):
+    """n×n grid whose i-wrap reverses j."""
+    def vid(i, j):
+        if i >= n:
+            i, j = i - n, -j
+        return i * n + j % n
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            tris += [(a, b, c), (a, c, d)]
+    return _complex(tris)
+
+
+def _two_tetrahedra():
+    """Boundaries of 0123 and 0124, sharing the triangle 012."""
+    return _complex(sorted(set(itertools.combinations(range(4), 3))
+                           | set(itertools.combinations((0, 1, 2, 4), 3))))
+
+
+def _torus_with_fin():
+    torus = torus_mesh(8, 4)
+    i, j = torus.edges[0].tolist()
+    v = torus.n_vertices
+    return SimplicialComplex(
+        triangles=[*torus.triangles.tolist(), (i, j, v)],
+        coords=np.vstack([torus.coords, [[3.0, 3.0, 3.0]]]))
+
+
+def _rank_gf2(cx):
+    """Rank of the triangle boundary matrix over GF(2)."""
+    pivots = {}
+    for row in cx.triangle_edges.tolist():
+        col = sum(1 << e for e in row)
+        while col:
+            top = col.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = col
+                break
+            col ^= pivots[top]
+    return len(pivots)
+
+
+@pytest.mark.parametrize("make,expected", [
+    (_rp2, (1, 0, 0)),
+    (_mobius, (1, 1, 0)),
+    (_klein, (1, 1, 0)),
+    (_two_tetrahedra, (1, 0, 2)),
+    (_book, (1, 0, 0)),
+    (_torus_with_fin, (1, 2, 1)),
+    (lambda: three_arc_mesh(3), (1, 2, 0)),
+])
+def test_betti_numbers_on_named_complexes(make, expected):
+    cx = make()
+    assert betti_numbers(cx) == expected
+    assert _sympy_betti(cx) == expected
+    assert oracles.betti_elimination(cx) == expected
+
+
+def test_rp2_is_seen_over_q_not_gf2():
+    cx = _rp2()
+    assert np.all(cx.edge_triangle_count == 2)
+    # over GF(2) the sum of all triangles is a cycle; over Q nothing is
+    assert _rank_gf2(cx) == cx.n_triangles - 1
+    assert betti_numbers(cx)[2] == 0
+
+
+def test_two_tetrahedra_share_edges_in_three_triangles():
+    assert np.bincount(_two_tetrahedra().edge_triangle_count).tolist() \
+        == [0, 0, 6, 3]
+
+
+@st.composite
+def small_complexes(draw):
+    """Random 2-complexes on at most 10 vertices and 40 triangles, some
+    with extra 1-D edges, some metric-only."""
+    n = draw(st.integers(3, 10))
+    triples = list(itertools.combinations(range(n), 3))
+    size = min(draw(st.integers(0, 40)), len(triples))
+    tris = draw(st.lists(st.sampled_from(triples), min_size=size,
+                         max_size=size, unique=True))
+    extra = draw(st.lists(st.sampled_from(
+        list(itertools.combinations(range(n), 2))), max_size=5, unique=True))
+    if draw(st.booleans()):
+        keys = sorted(set(extra).union(*[itertools.combinations(t, 2)
+                                         for t in tris]))
+        return SimplicialComplex(edges=keys, lengths=np.ones(len(keys)),
+                                 triangles=tris, n_vertices=n)
+    return _complex(tris, extra, n)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(small_complexes())
+def test_betti_numbers_match_elimination_on_random_complexes(cx):
+    assert betti_numbers(cx) == oracles.betti_elimination(cx)
+
+
+def test_betti_numbers_match_elimination_on_mixed_complexes():
+    for cx in mixed_complexes():
+        assert betti_numbers(cx) == oracles.betti_elimination(cx)
+
+
+@pytest.mark.parametrize("name,h,params", [
+    ("hemisphere", 0.05, {}),
+    ("genus", 0.15, {"g": 3}),
+])
+def test_large_fixtures_take_the_exact_check(name, h, params):
+    space = generate_space(name, h, **params)
+    assert space.complex.n_triangles > 5000
+    assert betti_numbers(space.complex) == space.betti
+
+
+def test_sphere_less_one_triangle_is_a_disk():
+    sphere = uv_sphere_mesh(12, 16)
+    cx = SimplicialComplex(triangles=sphere.triangles[1:],
+                           coords=sphere.coords)
+    assert betti_numbers(cx) == (1, 0, 0)
 
 
 # ------------------------------------------------------------------- contours
