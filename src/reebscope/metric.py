@@ -95,24 +95,21 @@ class MorseBoundParams:
 
 
 def _graph_point_arrays(reeb: ReebGraph, qmap: QuotientMap):
-    """Per vertex: the two exit nodes of its graph point and their costs."""
-    n = len(qmap.points)
-    nlev = reeb.levels
-    end_lo = np.empty(n, dtype=np.int64)
-    end_hi = np.empty(n, dtype=np.int64)
-    cost_lo = np.zeros(n, dtype=np.float64)
-    cost_hi = np.zeros(n, dtype=np.float64)
-    eid_of = np.full(n, -1, dtype=np.int64)
-    for v, pt in enumerate(qmap.points):
-        if pt[0] == "node":
-            end_lo[v] = end_hi[v] = pt[1]
-        else:
-            _, eid, lvl = pt
-            a, b = reeb.edges[eid]
-            end_lo[v], end_hi[v] = a, b
-            cost_lo[v] = lvl - nlev[a]
-            cost_hi[v] = nlev[b] - lvl
-            eid_of[v] = eid
+    """Per vertex: the two exit nodes of its graph point and their costs,
+    and its edge id (-1 on a node)."""
+    on_edge = ~qmap.on_node
+    eid_of = np.where(on_edge, qmap.target, -1)
+    end_lo = qmap.target.copy()
+    end_hi = qmap.target.copy()
+    ends = np.asarray(reeb.edges, dtype=np.int64).reshape(-1, 2)
+    a, b = ends[eid_of[on_edge]].T
+    end_lo[on_edge] = a
+    end_hi[on_edge] = b
+    lvl = qmap.levels[on_edge]
+    cost_lo = np.zeros(len(qmap))
+    cost_hi = np.zeros(len(qmap))
+    cost_lo[on_edge] = lvl - reeb.levels[a]
+    cost_hi[on_edge] = reeb.levels[b] - lvl
     return end_lo, end_hi, cost_lo, cost_hi, eid_of
 
 

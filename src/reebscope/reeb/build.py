@@ -162,7 +162,8 @@ def build_reeb(complex: SimplicialComplex, field: ScalarField):
     g = field.resolved_values
     n = complex.n_vertices
     if n == 0:
-        return ReebGraph([], []), QuotientMap([], g)
+        return ReebGraph([], []), QuotientMap(np.zeros(0, dtype=bool),
+                                              np.zeros(0, dtype=np.int64), g)
     L = _critical_values(complex, g)
     v_piece, piece_level, least, crossings = _level_pieces(complex, g, L)
     n_lp = piece_level.size
@@ -191,7 +192,8 @@ def build_reeb(complex: SimplicialComplex, field: ScalarField):
     graph = ReebGraph(
         [(float(L[piece_level[p]]), int(least[p]) if least[p] < n else None)
          for p in node.tolist()],
-        [tuple(pair) for pair in arc_ends.tolist()])
+        [tuple(pair) for pair in arc_ends.tolist()],
+        n_components=complex.n_components)
 
     # a vertex lands on its node, or at its value on the arc through its
     # level piece or slab piece
@@ -202,7 +204,4 @@ def build_reeb(complex: SimplicialComplex, field: ScalarField):
     where[~on_level] = arc[v_slab[~on_level]]
     where[on_level] = piece_target[v_piece[on_level]]
     on_node = on_level & (node_id[v_piece] >= 0)
-    qpoints = [("node", w) if at_node else ("edge", w, level)
-               for at_node, w, level in zip(on_node.tolist(), where.tolist(),
-                                            g.tolist())]
-    return graph, QuotientMap(qpoints, g)
+    return graph, QuotientMap(on_node, where, g)

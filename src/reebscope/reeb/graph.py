@@ -17,9 +17,11 @@ from scipy.sparse.csgraph import connected_components
 
 
 class ReebGraph:
-    def __init__(self, nodes, edges):
+    def __init__(self, nodes, edges, n_components=None):
         """nodes: list of (level, complex vertex or None);
-        edges: list of (u, v) node-id pairs with distinct levels."""
+        edges: list of (u, v) node-id pairs with distinct levels;
+        n_components: the number of connected components when the caller
+        knows it (counted on first use otherwise)."""
         self.levels = np.asarray([lv for lv, _ in nodes], dtype=float)
         self.vertices = [v for _, v in nodes]
         norm = []
@@ -29,7 +31,7 @@ class ReebGraph:
             norm.append((u, v) if self.levels[u] < self.levels[v] else (v, u))
         self.edges = norm
         self._dist = None
-        self._components = None
+        self._components = n_components
 
     @property
     def n_nodes(self):
@@ -185,17 +187,29 @@ def isomorphic(a: ReebGraph, b: ReebGraph, with_levels=True) -> bool:
 
 
 class QuotientMap:
-    """Where each complex vertex lands in the Reeb graph."""
+    """Where each complex vertex lands in the Reeb graph: per vertex,
+    whether it sits on a node, the node or edge id it lands on and its
+    level.  The graph-point tuples of `ReebGraph.distance` are derived on
+    demand."""
 
-    def __init__(self, points, levels):
-        self._points = points
+    def __init__(self, on_node, target, levels):
+        self.on_node = np.asarray(on_node, dtype=bool)
+        self.target = np.asarray(target, dtype=np.int64)
         self._levels = np.asarray(levels, dtype=float)
+        self._points = None
 
     def __len__(self):
-        return len(self._points)
+        return self._levels.shape[0]
 
     @property
     def points(self):
+        """All graph points as a list, built on first access."""
+        if self._points is None:
+            self._points = [
+                ("node", w) if at_node else ("edge", w, level)
+                for at_node, w, level in zip(self.on_node.tolist(),
+                                             self.target.tolist(),
+                                             self._levels.tolist())]
         return self._points
 
     @property
@@ -203,7 +217,10 @@ class QuotientMap:
         return self._levels
 
     def point(self, vertex):
-        return self._points[vertex]
+        if self.on_node[vertex]:
+            return ("node", int(self.target[vertex]))
+        return ("edge", int(self.target[vertex]),
+                float(self._levels[vertex]))
 
     def level(self, vertex) -> float:
         return float(self._levels[vertex])

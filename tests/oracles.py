@@ -4,9 +4,11 @@ Everything here deliberately avoids the library's production code paths:
 shortest paths are a textbook binary-heap Dijkstra (cross-checked by
 Bellman-Ford), level-set components come from a flood fill over crossing
 edges, vertex links from a flood fill over each link, and quotient
-distances are a Dijkstra over the Reeb graph nodes.  The farthest-point
-sweep reference runs one contour at a time and reads its rows straight
-from scipy's Dijkstra, bypassing the library's distance provider.  The
+distances are a Dijkstra over the Reeb graph nodes, with each vertex's
+graph point and exit costs rebuilt one vertex at a time.  The
+farthest-point sweep reference runs one contour at a time and reads its
+rows straight from scipy's Dijkstra, bypassing the library's distance
+provider.  The
 disk verifier reference measures one level piece at a time with scipy's
 pdist, in the scan order.  Betti numbers come from fraction-free integer
 elimination of the whole triangle boundary matrix, the method the
@@ -290,6 +292,46 @@ def reeb_node_distances(graph):
         adj[u].append((v, w))
         adj[v].append((u, w))
     return np.asarray([dijkstra(adj, s) for s in range(n)])
+
+
+def reeb_components(graph):
+    """Connected components of a Reeb graph, by flood fill over its edges."""
+    return _flood_count(graph.edges, range(graph.n_nodes))
+
+
+def quotient_points(on_node, target, levels):
+    """The graph point of each vertex, one vertex at a time, as the
+    builder once produced them: ("node", id) or ("edge", id, level)."""
+    points = []
+    for v in range(len(levels)):
+        if on_node[v]:
+            points.append(("node", int(target[v])))
+        else:
+            points.append(("edge", int(target[v]), float(levels[v])))
+    return points
+
+
+def graph_point_arrays(graph, points):
+    """Per vertex: the two exit nodes of its graph point, their costs and
+    its edge id (-1 on a node), filled one point at a time."""
+    n = len(points)
+    nlev = graph.levels
+    end_lo = np.empty(n, dtype=np.int64)
+    end_hi = np.empty(n, dtype=np.int64)
+    cost_lo = np.zeros(n, dtype=np.float64)
+    cost_hi = np.zeros(n, dtype=np.float64)
+    eid_of = np.full(n, -1, dtype=np.int64)
+    for v, pt in enumerate(points):
+        if pt[0] == "node":
+            end_lo[v] = end_hi[v] = pt[1]
+        else:
+            _, eid, lvl = pt
+            a, b = graph.edges[eid]
+            end_lo[v], end_hi[v] = a, b
+            cost_lo[v] = lvl - nlev[a]
+            cost_hi[v] = nlev[b] - lvl
+            eid_of[v] = eid
+    return end_lo, end_hi, cost_lo, cost_hi, eid_of
 
 
 def quotient_distance(graph, qmap, nd, i, j):

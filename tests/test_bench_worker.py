@@ -1,8 +1,8 @@
 """The benchmark's worker runs on this checkout.
 
 perfbench/worker.py reaches the program through `cli.load_complex`,
-`cli.load_field`, `cli.build_reeb`, the graph's exports and counts, and
-the disk suite.  Each round here runs in a fresh process, as the
+`cli.load_field`, `cli.build_reeb`, the graph's exports and counts, the
+quotient map's graph points and the suites.  Each round here runs in a fresh process, as the
 benchmark runs it, and must exit 0 with its own checks passing.
 """
 
@@ -57,3 +57,16 @@ def test_thm62_round_passes_its_checks(tmp_path):
     doc = _round(["thm62", 1, 0, "-", "-", tmp_path / "thm62"])
     assert doc["errors"] == []
     assert doc["attempted"] == 12
+
+
+def test_thm52_round_passes_its_checks(tmp_path):
+    # the distortion recorder reads the quotient map's graph points
+    doc = _round(["thm52", 1, 0, "-", "-", tmp_path / "thm52"])
+    assert doc["errors"] == []
+    assert doc["attempted"] > 0 and doc["failed"] == 0
+
+
+def test_traced_thm31_round_stays_covered_by_named_spans(tmp_path):
+    doc = _round(["thm31", 2, 1, "-", "-", tmp_path / "thm31"])
+    assert doc["errors"] == []
+    assert doc["layers"]["trace.coverage"] >= 0.9

@@ -17,7 +17,8 @@ from reebscope.complexes.generators import (circle_mesh, distance_field,
                                             flat_torus_mesh, generate_space,
                                             theta_mesh, torus_mesh,
                                             uv_sphere_mesh)
-from reebscope.metric import (BoundReport, MorseBoundParams, bound_ratio,
+from reebscope.metric import (BoundReport, MorseBoundParams,
+                              _graph_point_arrays, bound_ratio,
                               composed_intermediate_bound,
                               distance_function_bound, distortion,
                               gh_delta_bounds, intermediate_bounds,
@@ -84,18 +85,38 @@ def test_theta_ambient_distortion_frozen():
     lambda: (torus_mesh(8, 4), "height"),
     lambda: (flat_torus_mesh(4), "distance"),
     lambda: (uv_sphere_mesh(4, 8), "height"),
+    lambda: (torus_mesh(8, 4), "tied"),
 ])
 def test_distortion_matches_oracle(make):
     cx, kind = make()
     if kind == "height":
         f = ScalarField(cx.coords[:, 2] if np.ptp(cx.coords[:, 2]) > 0
                         else cx.coords[:, 1])
+    elif kind == "tied":
+        f = ScalarField(np.round(cx.coords[:, 2] + cx.coords[:, 0], 1))
     else:
         f = distance_field(cx, 0)
     graph, qmap = build_reeb(cx, f)
     ours = distortion(cx, f, graph, qmap, pairs="all")
     ref = oracles.distortion_oracle(cx, f, graph, qmap)
     assert ours == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_graph_point_arrays_match_the_per_vertex_loop():
+    rng = np.random.default_rng(5)
+    cases = [(cx, ScalarField(np.round(rng.normal(size=cx.n_vertices), 1)))
+             for cx in (torus_mesh(8, 4), circle_mesh(12), theta_mesh(8, 3),
+                        flat_torus_mesh(4))]
+    cx = torus_mesh(8, 4)
+    cases += [(cx, height_field(cx)),
+              (cx, ScalarField(np.full(cx.n_vertices, 2.0)))]
+    for cx, f in cases:
+        graph, qmap = build_reeb(cx, f)
+        got = _graph_point_arrays(graph, qmap)
+        want = oracles.graph_point_arrays(graph, qmap.points)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
 
 
 def test_sampled_distortion_is_a_lower_bound():

@@ -212,6 +212,41 @@ def _check_quotient_map(cx, f, graph, qmap):
             assert lvl == qmap.level(v)
 
 
+def _quotient_cases():
+    """(complex, field) pairs: tied random fields, integer fields on the
+    mixed complexes (disconnected and empty ones among them) and constant
+    fields."""
+    rng = np.random.default_rng(23)
+    pool = small_fixtures()
+    cases = [(cx, random_tied_field(cx, rng)) for cx in pool]
+    for cx in mixed_complexes():
+        cases.append((cx, ScalarField(
+            rng.integers(0, 4, cx.n_vertices).astype(float))))
+        cases.append((cx, ScalarField(np.full(cx.n_vertices, 1.5))))
+    return cases
+
+
+def test_quotient_map_points_match_the_per_vertex_reference():
+    for cx, f in _quotient_cases():
+        graph, qmap = build_reeb(cx, f)
+        ref = oracles.quotient_points(qmap.on_node, qmap.target,
+                                      f.resolved_values)
+        assert qmap.points == ref, repr(cx)
+        assert [qmap.point(v) for v in range(cx.n_vertices)] == ref
+        for pt in ref:
+            assert type(pt[1]) is int
+            assert pt[0] == "node" or type(pt[2]) is float
+        _check_quotient_map(cx, f, graph, qmap)
+
+
+def test_handed_component_count_matches_a_flood_fill():
+    for cx, f in _quotient_cases():
+        graph, _ = build_reeb(cx, f)
+        assert graph.n_components == cx.n_components
+        assert graph.n_components == oracles.reeb_components(graph), repr(cx)
+        assert reeb_oracle(cx, f).n_components == graph.n_components
+
+
 def test_contour_mates_land_on_one_graph_point():
     # vertices on a common contour of the resolved field map together
     cx = circle_mesh(8)
