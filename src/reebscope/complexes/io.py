@@ -62,19 +62,25 @@ def _read_off(path: Path) -> SimplicialComplex:
         raise ValueError(f"{path}: not an OFF file")
     if len(tokens) < 4:
         raise ValueError(f"{path}: truncated OFF header")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    coords = np.array(tokens[4:4 + 3 * nv], dtype=float)
-    if coords.size < 3 * nv:
-        raise ValueError(f"{path}: truncated OFF vertex list")
-    # each face is a count, 3, and three vertex ids
-    faces = tokens[4 + 3 * nv:4 + 3 * nv + 4 * nf]
-    if np.any(np.array(faces[::4], dtype=np.int64) != 3):
-        raise ValueError(f"{path}: only triangle faces supported")
-    if len(faces) < 4 * nf:
-        raise ValueError(f"{path}: truncated OFF face list")
-    tris = np.array(faces, dtype=np.int64).reshape(-1, 4)[:, 1:]
-    return SimplicialComplex(triangles=tris, coords=coords.reshape(nv, 3),
-                             name=path.stem)
+    try:
+        nv, nf = int(tokens[1]), int(tokens[2])
+        if nv < 0 or nf < 0:
+            raise ValueError(f"negative count in OFF header {nv} {nf}")
+        coords = np.array(tokens[4:4 + 3 * nv], dtype=float)
+        if coords.size < 3 * nv:
+            raise ValueError("truncated OFF vertex list")
+        # each face is a count, 3, and three vertex ids
+        faces = tokens[4 + 3 * nv:4 + 3 * nv + 4 * nf]
+        if np.any(np.array(faces[::4], dtype=np.int64) != 3):
+            raise ValueError("only triangle faces supported")
+        if len(faces) < 4 * nf:
+            raise ValueError("truncated OFF face list")
+        tris = np.array(faces, dtype=np.int64).reshape(-1, 4)[:, 1:]
+        return SimplicialComplex(triangles=tris,
+                                 coords=coords.reshape(nv, 3),
+                                 name=path.stem)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_json(path: Path) -> SimplicialComplex:
@@ -92,7 +98,10 @@ def _read_json(path: Path) -> SimplicialComplex:
         elif any(len(e) != 3 for e in rows):
             raise ValueError(f"{path}: metric-only edges need [i, j, length]")
         else:
-            n_vertices = int(doc["n_vertices"])
+            n_vertices = doc["n_vertices"]
+            if type(n_vertices) is not int or n_vertices < 0:
+                raise ValueError(f"{path}: 'n_vertices' must be a "
+                                 f"nonnegative integer, not {n_vertices!r}")
             lengths = np.asarray([e[2] for e in rows], dtype=float)
         edges = [e[:2] for e in rows]
     except TypeError as exc:

@@ -83,9 +83,17 @@ def _assert_usage_error(res):
                       "\"triangles\": [[0, 1, 2.9]]}"),
     ("bool_id.json", "{\"vertices\": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], "
                      "\"triangles\": [[0, 1, true]]}"),
+    ("float_count.json", "{\"n_vertices\": 2.5, "
+                         "\"edges\": [[0, 1, 1.0]]}"),
+    ("bool_count.json", "{\"n_vertices\": true, \"edges\": []}"),
+    ("negative_faces.off", "OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n"),
+    ("word_count.off", "OFF\nx 0 0\n"),
+    ("word_coordinate.off", "OFF\n1 0 0\n0 y 0\n"),
 ], ids=["no-vertices", "off-header-only", "off-short-faces", "off-quad",
         "json-array", "json-object-vertices", "json-float-vertex-id",
-        "json-bool-vertex-id"])
+        "json-bool-vertex-id", "json-float-vertex-count",
+        "json-bool-vertex-count", "off-negative-face-count",
+        "off-word-vertex-count", "off-word-coordinate"])
 def test_reeb_command_rejects_malformed_mesh(runner, tmp_path, name, text):
     bad = tmp_path / name
     bad.write_text(text)
