@@ -8,11 +8,10 @@ distances are a Dijkstra over the Reeb graph nodes, with each vertex's
 graph point and exit costs rebuilt one vertex at a time.  The
 farthest-point sweep reference runs one contour at a time and reads its
 rows straight from scipy's Dijkstra, bypassing the library's distance
-provider.  The
-disk verifier reference measures one level piece at a time with scipy's
-pdist, in the scan order.  Betti numbers come from fraction-free integer
-elimination of the whole triangle boundary matrix, the method the
-library's dual-graph kernel replaced.
+provider.  The disk verifier reference measures one level piece at a
+time with scipy's pdist, in the scan order.  Betti numbers come from
+fraction-free integer elimination of the whole triangle boundary matrix,
+the method the library's dual-graph kernel replaced.
 Run as a script to print the values the tests freeze.
 """
 

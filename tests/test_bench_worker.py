@@ -2,8 +2,9 @@
 
 perfbench/worker.py reaches the program through `cli.load_complex`,
 `cli.load_field`, `cli.build_reeb`, the graph's exports and counts, the
-quotient map's graph points and the suites.  Each round here runs in a fresh process, as the
-benchmark runs it, and must exit 0 with its own checks passing.
+quotient map's graph points and the suites.  Each round here runs in a
+fresh process, as the benchmark runs it, and must exit 0 with its own
+checks passing.
 """
 
 import importlib.util

@@ -233,7 +233,7 @@ def test_quotient_map_points_match_the_per_vertex_reference():
                                       f.resolved_values)
         assert qmap.points == ref, repr(cx)
         assert [qmap.point(v) for v in range(cx.n_vertices)] == ref
-        for pt in ref:
+        for pt in qmap.points:
             assert type(pt[1]) is int
             assert pt[0] == "node" or type(pt[2]) is float
         _check_quotient_map(cx, f, graph, qmap)
