@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .simplicial import (NonGenericLevelError, ScalarField, SimplicialComplex,
                          link_components)
-from .geodesic import distance_rows, pair_distances
+from .geodesic import distance_rows, pair_distances, through_ends
 
 
 @dataclass
@@ -81,6 +81,10 @@ class LevelPieces:
 # batch then costs about as much as the fixed cost of a call on the
 # fixture meshes, and its arrays stay within a few megabytes.
 _BATCH_CROSSINGS = 4096
+
+# Crossing rows of one contour that `contour_diameter` measures at once, so
+# that its end-pair planes stay a few megabytes on long contours.
+_DIAMETER_ROWS = 512
 
 # column of triangle_edges joining two corners of a triangle
 _EDGE_COLUMN = np.array([[-1, 0, 1], [0, -1, 2], [1, 2, -1]])
@@ -251,7 +255,7 @@ def crossing_geometry(complex: SimplicialComplex, edge_ids, params):
 
 
 def contour_diameter(complex: SimplicialComplex, contour: Contour,
-                     mode: str = "intrinsic", block: int = 512) -> float:
+                     mode: str = "intrinsic") -> float:
     """Largest distance between two crossing points of one contour.
 
     `intrinsic` measures through the edge skeleton (crossings are treated as
@@ -271,20 +275,15 @@ def contour_diameter(complex: SimplicialComplex, contour: Contour,
                                              contour.params)
     verts = np.unique(ends)
     sub = distance_rows(complex, verts)[:, verts]
-    lo, hi = np.searchsorted(verts, ends).T
+    at = np.searchsorted(verts, ends).T
 
     best = 0.0
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        s = slice(start, stop)
-        cand = sub[np.ix_(lo[s], lo)] + off_lo[s, None] + off_lo[None, :]
-        np.minimum(cand, sub[np.ix_(lo[s], hi)] + off_lo[s, None]
-                   + off_hi[None, :], out=cand)
-        np.minimum(cand, sub[np.ix_(hi[s], lo)] + off_hi[s, None]
-                   + off_lo[None, :], out=cand)
-        np.minimum(cand, sub[np.ix_(hi[s], hi)] + off_hi[s, None]
-                   + off_hi[None, :], out=cand)
-        cand[:, start:stop][np.diag_indices(stop - start)] = 0.0
+    for start in range(0, n, _DIAMETER_ROWS):
+        s = slice(start, start + _DIAMETER_ROWS)
+        cand = through_ends(lambda i, j: sub[np.ix_(at[i, s], at[j])],
+                            (off_lo[s, None], off_hi[s, None]),
+                            (off_lo, off_hi))
+        cand[:, start:][np.diag_indices(cand.shape[0])] = 0.0
         m = cand[np.isfinite(cand)]
         if m.size:
             best = max(best, float(m.max()))
@@ -325,10 +324,8 @@ def sweep_diameters(complex: SimplicialComplex, contours,
         c = np.repeat(cur[run], n)
         # d[i, j] = D(end i of the current crossing, end j of the crossing)
         d = pair_distances(complex, ends[c].T[:, None], ends[at].T[None])
-        dq = d[0, 0] + off_lo[c] + off_lo[at]
-        np.minimum(dq, d[0, 1] + off_lo[c] + off_hi[at], out=dq)
-        np.minimum(dq, d[1, 0] + off_hi[c] + off_lo[at], out=dq)
-        np.minimum(dq, d[1, 1] + off_hi[c] + off_hi[at], out=dq)
+        dq = through_ends(lambda i, j: d[i, j], (off_lo[c], off_hi[c]),
+                          (off_lo[at], off_hi[at]))
         dq[first + cur[run] - starts[run]] = 0.0
         top, nxt = _segment_argmax(dq, first)
         grow = ~(top <= best[run] * (1.0 + 1e-12))

@@ -24,6 +24,12 @@ vertices, split so that no call returns more than the budget.
 
 `single_source` stays a one-source call: a distance field reads one row,
 and a whole matrix for it would cost more time and memory than it saves.
+
+`through_ends` is the one distance rule for points inside edges, each
+reached through either end of its edge at a cost.  It serves Reeb-graph
+points in `ReebGraph.point_distances` (behind `metric.distortion` and
+`ReebGraph.distance`) and contour crossings in `contours.contour_diameter`
+and `contours.sweep_diameters`.
 """
 
 from __future__ import annotations
@@ -94,6 +100,16 @@ def pair_distances(complex: SimplicialComplex, rows, cols):
 def _fits_budget(complex: SimplicialComplex) -> bool:
     n = complex.n_vertices
     return 8 * n * n <= ALL_PAIRS_BUDGET_BYTES
+
+
+def through_ends(dist, cost_a, cost_b):
+    """min over end pairs (i, j) of `dist(i, j) + cost_a[i] + cost_b[j]`,
+    summed in that order: `dist(i, j)` is the plane of distances from end
+    i to end j, and each cost is a pair of arrays broadcasting with it."""
+    best = dist(0, 0) + cost_a[0] + cost_b[0]
+    for i, j in ((0, 1), (1, 0), (1, 1)):
+        np.minimum(best, dist(i, j) + cost_a[i] + cost_b[j], out=best)
+    return best
 
 
 def single_source(complex: SimplicialComplex, source: int):

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes.contours import (_BATCH_CROSSINGS, contour_diameter,
-                                 sweep_diameters)
+from .complexes.contours import _BATCH_CROSSINGS, sweep_diameters
 from .complexes.geodesic import distance_rows
 from .complexes.levelscan import LevelScan, select_gap_indices
 from .complexes.simplicial import ScalarField, SimplicialComplex
@@ -27,6 +26,10 @@ from .reeb.graph import QuotientMap, ReebGraph
 # Half a level-scan batch keeps the peak memory of the thm52 suite at that
 # of a per-contour sweep; a whole batch raised it by about 1 MB.
 _SWEEP_CROSSINGS = _BATCH_CROSSINGS // 2
+
+# Vertex rows that `distortion` compares at once: each end-pair plane it
+# gathers is then 64 by V, which keeps its peak memory small.
+_DISTORTION_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -94,28 +97,9 @@ class MorseBoundParams:
             raise ValueError("eps_p must be nonnegative")
 
 
-def _graph_point_arrays(reeb: ReebGraph, qmap: QuotientMap):
-    """Per vertex: the two exit nodes of its graph point and their costs,
-    and its edge id (-1 on a node)."""
-    on_edge = ~qmap.on_node
-    eid_of = np.where(on_edge, qmap.target, -1)
-    end_lo = qmap.target.copy()
-    end_hi = qmap.target.copy()
-    ends = np.asarray(reeb.edges, dtype=np.int64).reshape(-1, 2)
-    a, b = ends[eid_of[on_edge]].T
-    end_lo[on_edge] = a
-    end_hi[on_edge] = b
-    lvl = qmap.levels[on_edge]
-    cost_lo = np.zeros(len(qmap))
-    cost_hi = np.zeros(len(qmap))
-    cost_lo[on_edge] = lvl - reeb.levels[a]
-    cost_hi[on_edge] = reeb.levels[b] - lvl
-    return end_lo, end_hi, cost_lo, cost_hi, eid_of
-
-
 def distortion(complex: SimplicialComplex, field: ScalarField,
                reeb: ReebGraph, qmap: QuotientMap, pairs="all",
-               seed: int | None = None, block: int = 64) -> float:
+               seed: int | None = None) -> float:
     """max |d_X(x, y) - d_R(phi x, phi y)| over vertex pairs.
 
     `pairs` is either "all" or an integer count of uniformly sampled pairs
@@ -127,33 +111,15 @@ def distortion(complex: SimplicialComplex, field: ScalarField,
     n = complex.n_vertices
     if n < 2:
         return 0.0
-    e_lo, e_hi, c_lo, c_hi, eid_of = _graph_point_arrays(reeb, qmap)
-    lev = qmap.levels
-    nd = reeb.node_distances()
-
-    def reeb_block(rows, cols):
-        cand = nd[np.ix_(e_lo[rows], e_lo[cols])] \
-            + c_lo[rows, None] + c_lo[None, cols]
-        np.minimum(cand, nd[np.ix_(e_lo[rows], e_hi[cols])]
-                   + c_lo[rows, None] + c_hi[None, cols], out=cand)
-        np.minimum(cand, nd[np.ix_(e_hi[rows], e_lo[cols])]
-                   + c_hi[rows, None] + c_lo[None, cols], out=cand)
-        np.minimum(cand, nd[np.ix_(e_hi[rows], e_hi[cols])]
-                   + c_hi[rows, None] + c_hi[None, cols], out=cand)
-        same = (eid_of[rows, None] == eid_of[None, cols]) \
-            & (eid_of[rows, None] >= 0)
-        if np.any(same):
-            direct = np.abs(lev[rows, None] - lev[None, cols])
-            np.minimum(cand, np.where(same, direct, np.inf), out=cand)
-        return cand
+    points = reeb.point_ends(qmap.on_node, qmap.target, qmap.levels)
 
     best = 0.0
     if pairs == "all":
         all_cols = np.arange(n)
-        for start in range(0, n, block):
-            rows = np.arange(start, min(start + block, n))
+        for start in range(0, n, _DISTORTION_ROWS):
+            rows = np.arange(start, min(start + _DISTORTION_ROWS, n))
             dx = distance_rows(complex, rows)
-            dr = reeb_block(rows, all_cols)
+            dr = reeb.point_distances(points, rows[:, None], all_cols)
             best = max(best, float(np.abs(dx - dr).max()))
         return best
 
@@ -165,17 +131,7 @@ def distortion(complex: SimplicialComplex, field: ScalarField,
     right = rng.integers(0, n, size=k)
     srcs, row_of = np.unique(left, return_inverse=True)
     dx = distance_rows(complex, srcs)[row_of, right]
-    dr = nd[e_lo[left], e_lo[right]] + c_lo[left] + c_lo[right]
-    np.minimum(dr, nd[e_lo[left], e_hi[right]] + c_lo[left] + c_hi[right],
-               out=dr)
-    np.minimum(dr, nd[e_hi[left], e_lo[right]] + c_hi[left] + c_lo[right],
-               out=dr)
-    np.minimum(dr, nd[e_hi[left], e_hi[right]] + c_hi[left] + c_hi[right],
-               out=dr)
-    same = (eid_of[left] == eid_of[right]) & (eid_of[left] >= 0)
-    if np.any(same):
-        np.minimum(dr, np.where(same, np.abs(lev[left] - lev[right]), np.inf),
-                   out=dr)
+    dr = reeb.point_distances(points, left, right)
     return float(np.abs(dx - dr).max())
 
 
@@ -204,42 +160,31 @@ def _level_samples(complex, field, levels_per_edge, max_levels):
         yield batch
 
 
-def _diameters(complex, contours, mode, method):
-    if method == "sweep" and mode == "intrinsic":
-        return sweep_diameters(complex, contours)
-    if method not in ("sweep", "exact"):
-        raise ValueError(f"unknown method {method!r}")
-    return [contour_diameter(complex, c, mode=mode) for c in contours]
-
-
 def max_contour_diameter(complex: SimplicialComplex, field: ScalarField,
-                         levels_per_edge: int = 1, mode: str = "intrinsic",
-                         method: str = "sweep",
+                         levels_per_edge: int = 1,
                          max_levels: int | None = None) -> float:
     """Largest contour diameter over sampled levels, estimated from below.
 
     Levels are the midpoints of consecutive gaps between sorted vertex
-    values, refined to `levels_per_edge` samples per gap.  The default
-    diameter route is the farthest-point sweep, run by the batched kernel
-    `contours.sweep_diameters` over the contours of many levels at once;
-    `method="exact"` computes every pairwise crossing distance.
+    values, refined to `levels_per_edge` samples per gap.  Diameters come
+    from the farthest-point sweep, run by the batched kernel
+    `contours.sweep_diameters` over the contours of many levels at once.
     """
     best = 0.0
     for conts in _level_samples(complex, field, levels_per_edge, max_levels):
-        best = max(best, float(np.max(_diameters(complex, conts, mode,
-                                                 method))))
+        best = max(best, float(np.max(sweep_diameters(complex, conts))))
     return best
 
 
 def thickness(complex: SimplicialComplex, field: ScalarField,
-              levels_per_edge: int = 1, method: str = "sweep",
+              levels_per_edge: int = 1,
               max_levels: int | None = None) -> float:
     """min over sampled contours of length / diameter.
 
     Point contours carry no length scale and are excluded (with a
     warning), matching the convention that the thickness of a field only
     sees its one-dimensional contours.  Diameters come from the batched
-    sweep kernel `contours.sweep_diameters` unless `method="exact"`.
+    sweep kernel `contours.sweep_diameters`.
     """
     if not complex.is_surface:
         raise ValueError("thickness is defined for surface complexes")
@@ -248,8 +193,7 @@ def thickness(complex: SimplicialComplex, field: ScalarField,
     best = math.inf
     skipped = 0
     for conts in _level_samples(complex, field, levels_per_edge, max_levels):
-        for c, diam in zip(conts, _diameters(complex, conts, "intrinsic",
-                                             method)):
+        for c, diam in zip(conts, sweep_diameters(complex, conts)):
             if diam <= 0.0:
                 skipped += 1
                 continue

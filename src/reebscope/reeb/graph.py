@@ -15,6 +15,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from ..complexes.geodesic import through_ends
+
 
 class ReebGraph:
     def __init__(self, nodes, edges, n_components=None):
@@ -68,51 +70,62 @@ class ReebGraph:
         if self._dist is None:
             from scipy.sparse import csr_matrix
             from scipy.sparse.csgraph import dijkstra
-            best = {}
-            for e, (u, v) in enumerate(self.edges):
-                w = self.edge_length(e)
-                key = (u, v)
-                if w < best.get(key, np.inf):
-                    best[key] = w
+            # parallel edges span the same levels: one of each will do
+            u, v = np.unique(np.asarray(self.edges, dtype=np.int64)
+                             .reshape(-1, 2), axis=0).T
+            w = np.concatenate([self.levels[v] - self.levels[u]] * 2)
             n = self.n_nodes
-            if best:
-                i = np.array([k[0] for k in best], dtype=np.int64)
-                j = np.array([k[1] for k in best], dtype=np.int64)
-                w = np.array(list(best.values()))
-                m = csr_matrix((np.concatenate([w, w]),
-                                (np.concatenate([i, j]),
-                                 np.concatenate([j, i]))), shape=(n, n))
-            else:
-                m = csr_matrix((n, n))
+            m = csr_matrix((w, (np.concatenate([u, v]),
+                                np.concatenate([v, u]))), shape=(n, n))
             self._dist = dijkstra(m, directed=False)
         return self._dist
 
-    def _ends(self, point):
-        """(node, offset) pairs reaching `point`, plus an optional
-        (edge_id, level) tag for the same-edge shortcut."""
-        if point[0] == "node":
-            return [(point[1], 0.0)], None
-        _, e, level = point
-        u, v = self.edges[e]
-        lo, hi = self.levels[u], self.levels[v]
-        if not lo <= level <= hi:
-            raise ValueError(f"level {level} outside edge {e} span")
-        return [(u, level - lo), (v, hi - level)], (e, level)
+    def point_ends(self, on_node, target, levels):
+        """Graph points given per point by whether it sits on a node, its
+        node or edge id and its level: their (2, n) lower and upper ends,
+        the costs of reaching each end, their edge ids (-1 on a node) and
+        their levels.  A node is both its ends at no cost."""
+        on_node = np.asarray(on_node, dtype=bool)
+        target = np.asarray(target, dtype=np.int64)
+        levels = np.asarray(levels, dtype=float)
+        eid = np.where(on_node, -1, target)
+        for ids, count, kind in ((target[on_node], self.n_nodes, "node"),
+                                 (eid[~on_node], self.n_edges, "edge")):
+            bad = ids[(ids < 0) | (ids >= count)]
+            if bad.size:
+                raise ValueError(f"{kind} id {bad[0]} out of range")
+        ends = np.stack([target, target])
+        ends[:, ~on_node] = np.asarray(self.edges, dtype=np.int64).reshape(
+            -1, 2)[eid[~on_node]].T
+        lo, hi = self.levels[ends]
+        outside = ~on_node & ~((lo <= levels) & (levels <= hi))
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise ValueError(f"level {levels[k]} outside edge {eid[k]} span")
+        costs = np.where(on_node, 0.0, [levels - lo, hi - levels])
+        return ends, costs, eid, levels
+
+    def point_distances(self, points, a, b):
+        """Path metric between the `point_ends` points at the broadcast
+        index arrays `a` and `b`; inf across components.  Points on one
+        edge may also run straight along it."""
+        ends, costs, eid, levels = points
+        dm = self.node_distances()
+        out = through_ends(lambda i, j: dm[ends[i][a], ends[j][b]],
+                           [c[a] for c in costs], [c[b] for c in costs])
+        same = (eid[a] == eid[b]) & (eid[a] >= 0)
+        if np.any(same):
+            np.minimum(out, np.where(same, np.abs(levels[a] - levels[b]),
+                                     np.inf), out=out)
+        return out
 
     def distance(self, a, b) -> float:
         """Path metric between two graph points; inf across components."""
-        ea, ta = self._ends(a)
-        eb, tb = self._ends(b)
-        dm = self.node_distances()
-        best = np.inf
-        if ta is not None and tb is not None and ta[0] == tb[0]:
-            best = abs(ta[1] - tb[1])
-        for na, oa in ea:
-            for nb, ob in eb:
-                d = dm[na, nb] + oa + ob
-                if d < best:
-                    best = d
-        return float(best)
+        points = self.point_ends([p[0] == "node" for p in (a, b)],
+                                 [a[1], b[1]],
+                                 [p[2] if p[0] == "edge" else 0.0
+                                  for p in (a, b)])
+        return float(self.point_distances(points, [0], [1])[0])
 
     # --------------------------------------------------- isomorphism
 

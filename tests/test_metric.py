@@ -12,13 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from reebscope.complexes import ScalarField, height_field
+from reebscope.complexes import (LevelScan, ScalarField, contour_diameter,
+                                 height_field)
 from reebscope.complexes.generators import (circle_mesh, distance_field,
                                             flat_torus_mesh, generate_space,
                                             theta_mesh, torus_mesh,
                                             uv_sphere_mesh)
-from reebscope.metric import (BoundReport, MorseBoundParams,
-                              _graph_point_arrays, bound_ratio,
+from reebscope.metric import (BoundReport, MorseBoundParams, bound_ratio,
                               composed_intermediate_bound,
                               distance_function_bound, distortion,
                               gh_delta_bounds, intermediate_bounds,
@@ -112,7 +112,9 @@ def test_graph_point_arrays_match_the_per_vertex_loop():
               (cx, ScalarField(np.full(cx.n_vertices, 2.0)))]
     for cx, f in cases:
         graph, qmap = build_reeb(cx, f)
-        got = _graph_point_arrays(graph, qmap)
+        ends, costs, eid, _ = graph.point_ends(qmap.on_node, qmap.target,
+                                               qmap.levels)
+        got = (*ends, *costs, eid)
         want = oracles.graph_point_arrays(graph, qmap.points)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
@@ -152,7 +154,9 @@ def test_max_contour_diameter_torus_height():
     # the widest contour spans at least the outer equator's chord; mesh
     # geodesics cut corners, so it stays below the half circumference
     assert 2.0 * 1.4 * 0.9 <= d <= math.pi * 1.4 + 1e-9
-    exact = max_contour_diameter(cx, height_field(cx), method="exact")
+    exact = max(contour_diameter(cx, c)
+                for gap in LevelScan(cx, height_field(cx)).gaps()
+                for c in gap.contours())
     assert d <= exact + 1e-12
 
 
@@ -185,8 +189,6 @@ def test_contour_diameter_validation():
     cx = torus_mesh(8, 4)
     with pytest.raises(ValueError, match="levels_per_edge"):
         max_contour_diameter(cx, height_field(cx), levels_per_edge=0)
-    with pytest.raises(ValueError, match="unknown method"):
-        max_contour_diameter(cx, height_field(cx), method="magic")
 
 
 # ----------------------------------------------------------- closed forms

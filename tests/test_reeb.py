@@ -304,6 +304,37 @@ def test_point_distance_matches_oracle():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def _two_paths():
+    """Two four-vertex paths: the middle vertices of each land on one
+    edge, and the two halves of the graph never meet."""
+    cx = SimplicialComplex(edges=[[0, 1], [1, 2], [2, 3], [4, 5], [5, 6],
+                                  [6, 7]], lengths=np.ones(6), n_vertices=8)
+    return cx, ScalarField([0.0, 1.0, 2.0, 3.0, 0.0, 1.5, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("case", ["torus-tied", "theta", "two-paths"])
+def test_point_distances_match_the_oracle_on_every_vertex_pair(case):
+    if case == "two-paths":
+        cx, f = _two_paths()
+    else:
+        cx = torus_mesh(8, 4) if case == "torus-tied" else theta_mesh(8, 3)
+        f = random_tied_field(cx, np.random.default_rng(25))
+    graph, qmap = build_reeb(cx, f)
+    points = graph.point_ends(qmap.on_node, qmap.target, qmap.levels)
+    n = cx.n_vertices
+    got = graph.point_distances(points, np.arange(n)[:, None], np.arange(n))
+    nd = oracles.reeb_node_distances(graph)
+    eid = points[2]
+    same = (eid[:, None] == eid[None, :]) & (eid[:, None] >= 0)
+    assert qmap.on_node.any() and (same & ~np.eye(n, dtype=bool)).any()
+    for i in range(n):
+        for j in range(n):
+            want = oracles.quotient_distance(graph, qmap, nd, i, j)
+            assert got[i, j] == pytest.approx(want, abs=1e-12)
+            assert graph.distance(qmap.point(i), qmap.point(j)) == got[i, j]
+    assert np.isinf(got).any() == (case == "two-paths")
+
+
 def test_same_edge_shortcut():
     graph = ReebGraph([(0.0, None), (10.0, None)], [(0, 1)])
     a = ("edge", 0, 2.0)
@@ -323,6 +354,15 @@ def test_level_outside_edge_span_rejected():
     graph = ReebGraph([(0.0, None), (1.0, None)], [(0, 1)])
     with pytest.raises(ValueError, match="outside edge"):
         graph.distance(("edge", 0, 2.0), ("node", 0))
+
+
+@pytest.mark.parametrize("point", [("node", -1), ("node", 3),
+                                   ("edge", -1, 3.0), ("edge", 7, 3.0)])
+def test_point_id_out_of_range_rejected(point):
+    graph = ReebGraph([(0.0, None), (1.0, None), (5.0, None)],
+                      [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=f"{point[0]} id {point[1]} out "):
+        graph.distance(point, ("node", 0))
 
 
 # ------------------------------------------------------- graph object basics
