@@ -86,7 +86,10 @@ class ReebGraph:
         the costs of reaching each end, their edge ids (-1 on a node) and
         their levels.  A node is both its ends at no cost."""
         on_node = np.asarray(on_node, dtype=bool)
-        target = np.asarray(target, dtype=np.int64)
+        target = np.asarray(target)
+        if target.dtype.kind not in "biu":
+            raise ValueError(f"graph-point ids must be integers, got {target}")
+        target = target.astype(np.int64, copy=False)
         levels = np.asarray(levels, dtype=float)
         eid = np.where(on_node, -1, target)
         for ids, count, kind in ((target[on_node], self.n_nodes, "node"),

@@ -356,12 +356,18 @@ def test_level_outside_edge_span_rejected():
         graph.distance(("edge", 0, 2.0), ("node", 0))
 
 
-@pytest.mark.parametrize("point", [("node", -1), ("node", 3),
-                                   ("edge", -1, 3.0), ("edge", 7, 3.0)])
-def test_point_id_out_of_range_rejected(point):
+@pytest.mark.parametrize("point, match", [
+    (("node", -1), "node id -1 out of range"),
+    (("node", 3), "node id 3 out of range"),
+    (("edge", -1, 3.0), "edge id -1 out of range"),
+    (("edge", 7, 3.0), "edge id 7 out of range"),
+    (("node", 1.5), "ids must be integers"),
+    (("edge", 0.5, 0.5), "ids must be integers"),
+])
+def test_bad_point_ids_rejected(point, match):
     graph = ReebGraph([(0.0, None), (1.0, None), (5.0, None)],
                       [(0, 1), (1, 2)])
-    with pytest.raises(ValueError, match=f"{point[0]} id {point[1]} out "):
+    with pytest.raises(ValueError, match=match):
         graph.distance(point, ("node", 0))
 
 
