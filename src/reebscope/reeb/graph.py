@@ -32,6 +32,7 @@ class ReebGraph:
                 raise ValueError("horizontal edge: field was not generic")
             norm.append((u, v) if self.levels[u] < self.levels[v] else (v, u))
         self.edges = norm
+        self._edge_nodes = np.asarray(norm, dtype=np.int64).reshape(-1, 2)
         self._dist = None
         self._components = n_components
 
@@ -46,7 +47,7 @@ class ReebGraph:
     @property
     def n_components(self):
         if self._components is None:
-            u, v = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2).T
+            u, v = self._edge_nodes.T
             graph = coo_matrix((np.ones(u.size, dtype=bool), (u, v)),
                                shape=(self.n_nodes, self.n_nodes))
             self._components = connected_components(graph, directed=False)[0]
@@ -71,8 +72,7 @@ class ReebGraph:
             from scipy.sparse import csr_matrix
             from scipy.sparse.csgraph import dijkstra
             # parallel edges span the same levels: one of each will do
-            u, v = np.unique(np.asarray(self.edges, dtype=np.int64)
-                             .reshape(-1, 2), axis=0).T
+            u, v = np.unique(self._edge_nodes, axis=0).T
             w = np.concatenate([self.levels[v] - self.levels[u]] * 2)
             n = self.n_nodes
             m = csr_matrix((w, (np.concatenate([u, v]),
@@ -98,8 +98,7 @@ class ReebGraph:
             if bad.size:
                 raise ValueError(f"{kind} id {bad[0]} out of range")
         ends = np.stack([target, target])
-        ends[:, ~on_node] = np.asarray(self.edges, dtype=np.int64).reshape(
-            -1, 2)[eid[~on_node]].T
+        ends[:, ~on_node] = self._edge_nodes[eid[~on_node]].T
         lo, hi = self.levels[ends]
         outside = ~on_node & ~((lo <= levels) & (levels <= hi))
         if outside.any():
