@@ -2,9 +2,9 @@
 closed-form bounds controlling both."""
 
 from .complexes import (ScalarField, SimplicialComplex, analytic_field,
-                        betti_numbers, contour_diameter, contours_at,
-                        euler_characteristic, height_field, load_complex,
-                        load_field, save_complex, save_field)
+                        betti_numbers, contours_at, euler_characteristic,
+                        height_field, load_complex, load_field, save_complex,
+                        save_field)
 from .metric import (BoundReport, MorseBoundParams, bound_ratio,
                      composed_intermediate_bound, distance_function_bound,
                      distortion, gh_delta_bounds, intermediate_bounds,

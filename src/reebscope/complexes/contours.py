@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .simplicial import (NonGenericLevelError, ScalarField, SimplicialComplex,
                          link_components)
-from .geodesic import distance_rows, pair_distances, through_ends
+from .geodesic import pair_distances, through_ends
 
 
 @dataclass
@@ -81,10 +81,6 @@ class LevelPieces:
 # batch then costs about as much as the fixed cost of a call on the
 # fixture meshes, and its arrays stay within a few megabytes.
 _BATCH_CROSSINGS = 4096
-
-# Crossing rows of one contour that `contour_diameter` measures at once, so
-# that its end-pair planes stay a few megabytes on long contours.
-_DIAMETER_ROWS = 512
 
 # column of triangle_edges joining two corners of a triangle
 _EDGE_COLUMN = np.array([[-1, 0, 1], [0, -1, 2], [1, 2, -1]])
@@ -252,42 +248,6 @@ def crossing_geometry(complex: SimplicialComplex, edge_ids, params):
     ends = complex.edges[edge_ids]
     lens = complex.lengths[edge_ids]
     return ends, params * lens, (1.0 - params) * lens
-
-
-def contour_diameter(complex: SimplicialComplex, contour: Contour,
-                     mode: str = "intrinsic") -> float:
-    """Largest distance between two crossing points of one contour.
-
-    `intrinsic` measures through the edge skeleton (crossings are treated as
-    subdivision points, so endpoint detours are exact); `extrinsic` is the
-    Euclidean chord length, exact by `piece_diameters`, and needs
-    coordinates.
-    """
-    n = len(contour)
-    if n <= 1:
-        return 0.0
-    if mode == "extrinsic":
-        return float(extrinsic_diameters(complex, [contour])[0])
-    if mode != "intrinsic":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    ends, off_lo, off_hi = crossing_geometry(complex, contour.edge_ids,
-                                             contour.params)
-    verts = np.unique(ends)
-    sub = distance_rows(complex, verts)[:, verts]
-    at = np.searchsorted(verts, ends).T
-
-    best = 0.0
-    for start in range(0, n, _DIAMETER_ROWS):
-        s = slice(start, start + _DIAMETER_ROWS)
-        cand = through_ends(lambda i, j: sub[np.ix_(at[i, s], at[j])],
-                            (off_lo[s, None], off_hi[s, None]),
-                            (off_lo, off_hi))
-        cand[:, start:][np.diag_indices(cand.shape[0])] = 0.0
-        m = cand[np.isfinite(cand)]
-        if m.size:
-            best = max(best, float(m.max()))
-    return best
 
 
 def sweep_diameters(complex: SimplicialComplex, contours,

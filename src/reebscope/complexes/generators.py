@@ -450,8 +450,7 @@ def _mult(x: float, base: int, lo: int) -> int:
     return max(lo, base * round(x / base))
 
 
-def generate_space(name: str, h: float, check: bool = True, **params
-                   ) -> GeneratedSpace:
+def generate_space(name: str, h: float, **params) -> GeneratedSpace:
     """Build the named fixture at target edge length h with its canonical
     field (height for embedded surfaces and graphs, distance-from-vertex on
     the flat torus, geodesic tripod distance on the hemisphere)."""
@@ -511,10 +510,9 @@ def generate_space(name: str, h: float, check: bool = True, **params
         expected, b1p = _EXPECTED[name]
         label = name
 
-    if check:
-        got = betti_numbers(cx)
-        if got != expected:
-            raise ValueError(
-                f"{label}: generated betti {got}, expected {expected}")
+    got = betti_numbers(cx)
+    if got != expected:
+        raise ValueError(
+            f"{label}: generated betti {got}, expected {expected}")
     return GeneratedSpace(name=label, complex=cx, field=field,
                           betti=expected, b1_prime=b1p, h=h)

@@ -6,11 +6,11 @@ its edge lengths.  Dijkstra is delegated to scipy's csgraph implementation,
 through the one kernel `vertex_distances`.
 
 Callers that read many rows of one complex ask the distance provider,
-`distance_rows`: `metric.distortion`, `contours.contour_diameter` and
-`diameter`.  While the all-pairs float64 matrix of a complex fits
-`ALL_PAIRS_BUDGET_BYTES` (64 MiB, up to 2,896 vertices), the first request
-computes it with one Dijkstra call, it is held with the complex for as long
-as the complex lives, and every request is a row slice of it.  Above the
+`distance_rows`: `metric.distortion` and `diameter`.  While the all-pairs
+float64 matrix of a complex fits `ALL_PAIRS_BUDGET_BYTES` (64 MiB, up to
+2,896 vertices), the first request computes it with one Dijkstra call, it
+is held with the complex for as long as the complex lives, and every
+request is a row slice of it.  Above the
 budget each request runs Dijkstra from its own sources.  scipy runs the
 same per-source Dijkstra in both cases, so the rows agree bit for bit.
 
@@ -28,8 +28,7 @@ and a whole matrix for it would cost more time and memory than it saves.
 `through_ends` is the one distance rule for points inside edges, each
 reached through either end of its edge at a cost.  It serves Reeb-graph
 points in `ReebGraph.point_distances` (behind `metric.distortion` and
-`ReebGraph.distance`) and contour crossings in `contours.contour_diameter`
-and `contours.sweep_diameters`.
+`ReebGraph.distance`) and contour crossings in `contours.sweep_diameters`.
 """
 
 from __future__ import annotations

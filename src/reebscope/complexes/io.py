@@ -53,11 +53,11 @@ def save_complex(cx: SimplicialComplex, path) -> None:
 
 
 def _read_off(path: Path) -> SimplicialComplex:
-    tokens = []
-    for line in path.read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
+    text = path.read_text()
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0]
+                         for line in text.splitlines())
+    tokens = text.split()
     if not tokens or tokens[0].upper() != "OFF":
         raise ValueError(f"{path}: not an OFF file")
     if len(tokens) < 4:

@@ -36,12 +36,6 @@ class GapView:
     def n_crossings(self):
         return int(self._scan._n_crossings[self._gap])
 
-    def levels(self, per_gap: int = 1):
-        """`per_gap` evenly spaced interior levels of this gap."""
-        w = self.hi - self.lo
-        return [self.lo + w * (2 * j + 1) / (2.0 * per_gap)
-                for j in range(per_gap)]
-
     def contours(self, level=None):
         return self._scan._contours(self._gap,
                                     self.level if level is None else level)
@@ -84,13 +78,17 @@ class LevelScan:
         return level_contours(self.complex, self.g, pieces, gap - start, level)
 
 
-def select_gap_indices(n_gaps: int, target: int, edge_quota: int = 25):
+# gaps kept at each end of the value range by select_gap_indices
+_END_GAPS = 25
+
+
+def select_gap_indices(n_gaps: int, target: int):
     """Deterministic subsample of gap indices: everything when small, else
-    the first and last `edge_quota` gaps (smallest contours of distance-like
+    the first and last _END_GAPS gaps (smallest contours of distance-like
     fields live at the extremes) plus an even spread over the middle."""
     if target <= 0 or n_gaps <= target:
         return set(range(n_gaps))
-    q = min(edge_quota, n_gaps // 3)
+    q = min(_END_GAPS, n_gaps // 3)
     picks = set(range(q)) | set(range(n_gaps - q, n_gaps))
     middle = target - len(picks)
     if middle > 0:

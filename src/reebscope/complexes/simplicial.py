@@ -281,9 +281,6 @@ class ScalarField:
             self._resolved = _snap_ties(self.values)
         return self._resolved
 
-    def shifted(self, c):
-        return ScalarField(self.values + c)
-
 
 def _snap_ties(values):
     n = values.shape[0]
@@ -304,12 +301,6 @@ def _snap_ties(values):
     out = np.empty_like(sv)
     out[order] = reps[np.cumsum(starts) - 1]
     return out
-
-
-def check_field(complex: SimplicialComplex, field: ScalarField):
-    if len(field) != complex.n_vertices:
-        raise ValueError(
-            f"field has {len(field)} values for {complex.n_vertices} vertices")
 
 
 def height_field(complex: SimplicialComplex, axis: int = 2) -> ScalarField:

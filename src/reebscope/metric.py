@@ -135,24 +135,22 @@ def distortion(complex: SimplicialComplex, field: ScalarField,
     return float(np.abs(dx - dr).max())
 
 
-def _level_samples(complex, field, levels_per_edge, max_levels):
+def _level_samples(complex, field, max_levels):
     """Yield the contours at the chosen levels of the sweep, in lists of
     about _SWEEP_CROSSINGS crossings, so one kernel call measures many."""
-    if levels_per_edge < 1:
-        raise ValueError("levels_per_edge must be at least 1")
     scan = LevelScan(complex, field)
     wanted = None
     if max_levels is not None:
-        target = max(1, int(max_levels) // levels_per_edge)
-        wanted = select_gap_indices(complex.n_vertices - 1, target)
+        wanted = select_gap_indices(complex.n_vertices - 1,
+                                    max(1, int(max_levels)))
     batch = []
     held = 0
     for gap in scan.gaps():
         if wanted is not None and gap.index not in wanted:
             continue
-        for level in gap.levels(levels_per_edge):
-            batch.extend(gap.contours(level))
-        held += gap.n_crossings * levels_per_edge
+        # lo + (hi - lo) / 2 can round apart from gap.level's 0.5 * (lo + hi)
+        batch.extend(gap.contours(gap.lo + (gap.hi - gap.lo) / 2.0))
+        held += gap.n_crossings
         if held >= _SWEEP_CROSSINGS:
             yield batch
             batch, held = [], 0
@@ -161,23 +159,21 @@ def _level_samples(complex, field, levels_per_edge, max_levels):
 
 
 def max_contour_diameter(complex: SimplicialComplex, field: ScalarField,
-                         levels_per_edge: int = 1,
                          max_levels: int | None = None) -> float:
     """Largest contour diameter over sampled levels, estimated from below.
 
     Levels are the midpoints of consecutive gaps between sorted vertex
-    values, refined to `levels_per_edge` samples per gap.  Diameters come
-    from the farthest-point sweep, run by the batched kernel
-    `contours.sweep_diameters` over the contours of many levels at once.
+    values.  Diameters come from the farthest-point sweep, run by the
+    batched kernel `contours.sweep_diameters` over the contours of many
+    levels at once.
     """
     best = 0.0
-    for conts in _level_samples(complex, field, levels_per_edge, max_levels):
+    for conts in _level_samples(complex, field, max_levels):
         best = max(best, float(np.max(sweep_diameters(complex, conts))))
     return best
 
 
 def thickness(complex: SimplicialComplex, field: ScalarField,
-              levels_per_edge: int = 1,
               max_levels: int | None = None) -> float:
     """min over sampled contours of length / diameter.
 
@@ -192,7 +188,7 @@ def thickness(complex: SimplicialComplex, field: ScalarField,
         raise ValueError("contour lengths need embedded coordinates")
     best = math.inf
     skipped = 0
-    for conts in _level_samples(complex, field, levels_per_edge, max_levels):
+    for conts in _level_samples(complex, field, max_levels):
         for c, diam in zip(conts, sweep_diameters(complex, conts)):
             if diam <= 0.0:
                 skipped += 1

@@ -57,13 +57,6 @@ class ReebGraph:
     def cycle_rank(self):
         return self.n_edges - self.n_nodes + self.n_components
 
-    def edge_length(self, e):
-        u, v = self.edges[e]
-        return float(self.levels[v] - self.levels[u])
-
-    def degree(self, nid):
-        return sum((u == nid) + (v == nid) for u, v in self.edges)
-
     # ---------------------------------------------------------- metric
 
     def node_distances(self):
@@ -122,7 +115,10 @@ class ReebGraph:
         return out
 
     def distance(self, a, b) -> float:
-        """Path metric between two graph points; inf across components."""
+        """Path metric between two graph points; inf across components.
+
+        Each call builds the ends of its two points; a caller measuring
+        many pairs makes one `point_distances` call instead."""
         points = self.point_ends([p[0] == "node" for p in (a, b)],
                                  [a[1], b[1]],
                                  [p[2] if p[0] == "edge" else 0.0

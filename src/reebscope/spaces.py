@@ -69,13 +69,6 @@ def _record(b1, b1_prime, h, b2, k, *, surface=False, dim=None, lc=True,
     }, tuple(notes))
 
 
-BASE_NAMES = ("point", "circle", "sphere_n", "torus_n",
-              "orientable_surface_g", "nonorientable_surface_g",
-              "orientable_surface_g_h_boundary",
-              "nonorientable_surface_g_h_boundary", "projective_plane",
-              "wedge_of_r_circles")
-
-
 def base_table(name: str, **params) -> InvariantRecord:
     """Exact invariants of the named base space."""
     def need(*keys):

@@ -22,13 +22,6 @@ from .width import (TRIPOD_WIDTH, disk_contour_verify,
                     hemisphere_width_verify)
 
 
-def _run_jobs(jobs):
-    """Run (name, thunk) jobs in order; sorted flat reports."""
-    reports = [r for _, thunk in jobs for r in thunk()]
-    reports.sort(key=lambda r: r.name)
-    return reports
-
-
 def format_reports(reports) -> str:
     """Fixed-width table with name, lhs, rhs and pass columns."""
     width = max([len(r.name) for r in reports] + [4])
@@ -61,30 +54,23 @@ _GENERATOR_OF = {"sphere": "sphere", "torus": "torus", "genus2": "genus",
 def thm31_suite(h=None, seed=0, tol=None):
     """cycle_rank(R_f) <= corank <= b1 on six fixtures, several fields."""
     h = 0.1 if h is None else h
-
-    def fixture_job(label, params):
-        def run():
-            space = generate_space(_GENERATOR_OF[label], h, **params)
-            b1 = space.betti[1]
-            out = [BoundReport.check(
-                f"thm31:{label}:corank<=b1", space.b1_prime, b1,
-                b1=b1, corank=space.b1_prime)]
-            fields = [("canonical", space.field)]
-            for i, src in enumerate(_random_sources(space, 5, seed, label)):
-                fields.append((f"dist{i}", distance_field(space.complex,
-                                                          src)))
-            for fname, f in fields:
-                graph, _ = build_reeb(space.complex, f)
-                out.append(BoundReport.check(
-                    f"thm31:{label}:{fname}:cycle_rank<=corank",
-                    graph.cycle_rank, space.b1_prime,
-                    cycle_rank=graph.cycle_rank, corank=space.b1_prime,
-                    b1=b1))
-            return out
-        return run
-
-    return _run_jobs([(label, fixture_job(label, params))
-                      for label, params in _THM31_FIXTURES])
+    out = []
+    for label, params in _THM31_FIXTURES:
+        space = generate_space(_GENERATOR_OF[label], h, **params)
+        b1 = space.betti[1]
+        out.append(BoundReport.check(
+            f"thm31:{label}:corank<=b1", space.b1_prime, b1,
+            b1=b1, corank=space.b1_prime))
+        fields = [("canonical", space.field)]
+        for i, src in enumerate(_random_sources(space, 5, seed, label)):
+            fields.append((f"dist{i}", distance_field(space.complex, src)))
+        for fname, f in fields:
+            graph, _ = build_reeb(space.complex, f)
+            out.append(BoundReport.check(
+                f"thm31:{label}:{fname}:cycle_rank<=corank",
+                graph.cycle_rank, space.b1_prime,
+                cycle_rank=graph.cycle_rank, corank=space.b1_prime, b1=b1))
+    return sorted(out, key=lambda r: r.name)
 
 
 _THM52_FIXTURES = (
@@ -103,29 +89,22 @@ def thm52_suite(h=None, seed=0, tol=None):
     absolute 10h term covers the O(h) distortion of the mesh quotient.
     """
     h = 0.15 if h is None else h
-
-    def fixture_job(label, gen, params):
-        def run():
-            space = generate_space(gen, h, **params)
-            graph_like = space.complex.n_triangles == 0
-            out = []
-            for i, src in enumerate(_random_sources(space, 5, seed, label)):
-                f = distance_field(space.complex, src)
-                graph, qmap = build_reeb(space.complex, f)
-                dis = distortion(space.complex, f, graph, qmap, pairs="all")
-                D = max_contour_diameter(space.complex, f, levels_per_edge=1,
-                                         max_levels=400)
-                rhs, _ = distance_function_bound(space.b1_prime, D)
-                out.append(BoundReport.check(
-                    f"thm52:{label}:dist{i}:dis<=2(corank+1)D", dis, rhs,
-                    tolerance=10.0 * space.h,
-                    tol_abs=10.0 * space.h if graph_like else 0.0,
-                    corank=space.b1_prime, D=D, source=src, h=space.h))
-            return out
-        return run
-
-    return _run_jobs([(label, fixture_job(label, gen, params))
-                      for label, gen, params in _THM52_FIXTURES])
+    out = []
+    for label, gen, params in _THM52_FIXTURES:
+        space = generate_space(gen, h, **params)
+        graph_like = space.complex.n_triangles == 0
+        for i, src in enumerate(_random_sources(space, 5, seed, label)):
+            f = distance_field(space.complex, src)
+            graph, qmap = build_reeb(space.complex, f)
+            dis = distortion(space.complex, f, graph, qmap, pairs="all")
+            D = max_contour_diameter(space.complex, f, max_levels=400)
+            rhs, _ = distance_function_bound(space.b1_prime, D)
+            out.append(BoundReport.check(
+                f"thm52:{label}:dist{i}:dis<=2(corank+1)D", dis, rhs,
+                tolerance=10.0 * space.h,
+                tol_abs=10.0 * space.h if graph_like else 0.0,
+                corank=space.b1_prime, D=D, source=src, h=space.h))
+    return sorted(out, key=lambda r: r.name)
 
 
 def _disk_fields(complex, count_random, seed):
@@ -149,18 +128,14 @@ def thm62_suite(h=None, seed=0, tol=None):
     h = 0.02 if h is None else h
     tol = 0.05 if tol is None else tol
     space = generate_space("disk", h)
-    fields = _disk_fields(space.complex, 8, seed)
-
-    def field_job(name, f):
-        def run():
-            rep = disk_contour_verify(space.complex, f, tol=tol)
-            return [BoundReport.check(
-                f"thm62:{name}:boundary_diam>=sqrt3-tol", rep.threshold,
-                rep.boundary_diam, best_level=rep.best_level,
-                interior_diam=rep.interior_diam, tol=tol, h=h)]
-        return run
-
-    return _run_jobs([(name, field_job(name, f)) for name, f in fields])
+    out = []
+    for name, f in _disk_fields(space.complex, 8, seed):
+        rep = disk_contour_verify(space.complex, f, tol=tol)
+        out.append(BoundReport.check(
+            f"thm62:{name}:boundary_diam>=sqrt3-tol", rep.threshold,
+            rep.boundary_diam, best_level=rep.best_level,
+            interior_diam=rep.interior_diam, tol=tol, h=h))
+    return sorted(out, key=lambda r: r.name)
 
 
 def ex66_suite(h=None, seed=0, tol=None):
@@ -284,29 +259,22 @@ def thickness_checks(h=None, seed=0, tol=None):
     comfortable margin over the 1 - 4h threshold.
     """
     h = 0.15 if h is None else h
-
-    def fixture_job(label, gen, params):
-        def run():
-            space = generate_space(gen, h, **params)
-            rng = np.random.default_rng([seed, zlib.crc32(label.encode())])
-            fields = [("canonical", space.field)]
-            for i in range(2):
-                fields.append((f"random_{i}",
-                               random_smooth_field(space.complex, rng)))
-            out = []
-            for fname, f in fields:
-                t = thickness(space.complex, f, max_levels=120)
-                out.append(BoundReport.check(
-                    f"thickness:{label}:{fname}:T_f>=1-4h", 1.0 - 4.0 * h,
-                    t, thickness=t, h=h))
-            return out
-        return run
-
-    jobs = [(label, fixture_job(label, gen, params))
-            for label, gen, params in
-            (("sphere", "sphere", {}), ("torus", "torus", {}),
-             ("genus2", "genus", {"g": 2}))]
-    return _run_jobs(jobs)
+    out = []
+    for label, gen, params in (("sphere", "sphere", {}),
+                               ("torus", "torus", {}),
+                               ("genus2", "genus", {"g": 2})):
+        space = generate_space(gen, h, **params)
+        rng = np.random.default_rng([seed, zlib.crc32(label.encode())])
+        fields = [("canonical", space.field)]
+        for i in range(2):
+            fields.append((f"random_{i}",
+                           random_smooth_field(space.complex, rng)))
+        for fname, f in fields:
+            t = thickness(space.complex, f, max_levels=120)
+            out.append(BoundReport.check(
+                f"thickness:{label}:{fname}:T_f>=1-4h", 1.0 - 4.0 * h,
+                t, thickness=t, h=h))
+    return sorted(out, key=lambda r: r.name)
 
 
 SUITES = {

@@ -239,25 +239,6 @@ def _piece_points(complex, g, pieces):
     return pts, onb
 
 
-# level pieces with more points than this get a farthest-point lower bound
-_EXACT_POINTS = 1500
-
-
-def _far_point_diameter(pts):
-    """Extrinsic diameter of a big point set, bounded from below by
-    repeated farthest-point hops."""
-    p = pts[int(np.argmin(pts[:, 0]))]
-    best = 0.0
-    for _ in range(4):
-        d = np.linalg.norm(pts - p, axis=1)
-        i = int(np.argmax(d))
-        if d[i] <= best:
-            break
-        best = float(d[i])
-        p = pts[i]
-    return best
-
-
 def _masked_diameters(pts, bounds, mask):
     """Per piece, the extrinsic diameter of its points that `mask` keeps."""
     kept = np.concatenate([[0], np.cumsum(mask)])[bounds]
@@ -279,8 +260,7 @@ def disk_contour_verify(complex: SimplicialComplex, field: ScalarField,
     exactly rather than sampled nearby.  Each batch of levels measures all
     its pieces by `piece_diameters`: the boundary points of every piece,
     and all points of every piece for the interior diameter of the
-    closed-disk form (a piece of more than 1,500 points gets the
-    farthest-point lower bound instead).  The reported level is the first
+    closed-disk form.  The reported level is the first
     to reach the best boundary diameter.  With `early_stop` the scan ends
     after the first level clearing the threshold, keeping the report a
     valid witness.
@@ -306,13 +286,8 @@ def disk_contour_verify(complex: SimplicialComplex, field: ScalarField,
         start += len(batch)
         pieces = label_level_sets(complex, g, batch)
         pts, onb = _piece_points(complex, g, pieces)
-        bounds = pieces.bounds
-        sizes = np.diff(bounds)
-        inner = _masked_diameters(pts, bounds,
-                                  np.repeat(sizes <= _EXACT_POINTS, sizes))
-        for p in np.flatnonzero(sizes > _EXACT_POINTS).tolist():
-            inner[p] = _far_point_diameter(pts[bounds[p]:bounds[p + 1]])
-        outer = _masked_diameters(pts, bounds, onb)
+        inner = piece_diameters(pts, pieces.bounds)
+        outer = _masked_diameters(pts, pieces.bounds, onb)
 
         # the running bests after each level of the batch
         ends = np.searchsorted(pieces.piece_level, np.arange(len(batch)),

@@ -18,9 +18,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 
-def _inputs():
-    spec = importlib.util.spec_from_file_location("perfbench_inputs",
-                                                  PERFBENCH / "inputs.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -39,7 +39,7 @@ def _round(args, hash_seed="0"):
 
 
 def test_reeb_mesh_round_passes_its_checks_and_is_reproducible(tmp_path):
-    inputs = _inputs()
+    inputs = _load("inputs")
     coords, triangles = inputs.genus3_mesh()
     mesh, field = tmp_path / "genus3.off", tmp_path / "field-2.txt"
     inputs.write_off(mesh, coords, triangles)
@@ -71,3 +71,14 @@ def test_traced_thm31_round_stays_covered_by_named_spans(tmp_path):
     doc = _round(["thm31", 2, 1, "-", "-", tmp_path / "thm31"])
     assert doc["errors"] == []
     assert doc["layers"]["trace.coverage"] >= 0.9
+
+
+def test_traced_thm52_round_records_every_expected_layer(tmp_path):
+    # perfbench wraps the level scan, the contour diameters and the Reeb
+    # graph's node distances by name; a refactor that moves one of them
+    # leaves its layer without calls
+    doc = _round(["thm52", 1, 1, "-", "-", tmp_path / "thm52"])
+    assert doc["errors"] == []
+    silent = [layer for layer in _load("run").EXPECTED_CALLS["thm52"]
+              if doc["calls"].get(layer, 0) == 0]
+    assert silent == []

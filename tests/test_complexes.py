@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from reebscope.complexes import (Contour, ScalarField, SimplicialComplex,
-                                 analytic_field, betti_numbers,
-                                 contour_diameter, contours_at,
+                                 analytic_field, betti_numbers, contours_at,
                                  euler_characteristic, height_field,
                                  load_complex, load_field, save_complex,
                                  save_field)
@@ -34,7 +33,7 @@ from reebscope.complexes.geodesic import (ALL_PAIRS_BUDGET_BYTES, diameter,
                                           distance_rows, single_source,
                                           vertex_distances)
 from reebscope.complexes.levelscan import LevelScan, select_gap_indices
-from reebscope.complexes.simplicial import (NonGenericLevelError, check_field,
+from reebscope.complexes.simplicial import (NonGenericLevelError,
                                             link_components)
 from reebscope.metric import distortion, max_contour_diameter
 from reebscope.reeb import build_reeb
@@ -253,10 +252,15 @@ def test_field_must_be_finite_1d():
         ScalarField([0.0, np.nan])
 
 
-def test_check_field_length():
+@pytest.mark.parametrize("call", [
+    lambda cx, f: build_reeb(cx, f),
+    lambda cx, f: LevelScan(cx, f),
+    lambda cx, f: contours_at(cx, f, 0.5),
+], ids=["build_reeb", "LevelScan", "contours_at"])
+def test_field_one_value_short_is_rejected(call):
     cx = SimplicialComplex(**TRIANGLE)
-    with pytest.raises(ValueError, match="3 vertices"):
-        check_field(cx, ScalarField([0.0, 1.0]))
+    with pytest.raises(ValueError, match="field does not match complex"):
+        call(cx, ScalarField([0.0, 1.0]))
 
 
 def test_distinct_values_resolve_unchanged():
@@ -290,11 +294,6 @@ def test_resolved_reps_are_input_values(vals):
     for i in range(len(vals)):
         same = v == v[i]
         assert np.all(r[same] == r[i])
-
-
-def test_shifted_field():
-    f = ScalarField([0.0, 1.0]).shifted(2.5)
-    assert np.array_equal(f.values, [2.5, 3.5])
 
 
 def test_height_and_analytic_fields():
@@ -490,15 +489,20 @@ def test_torus_top_contour_intrinsic_diameter_frozen():
     cx = torus_mesh(24, 12)
     hz = height_field(cx)
     (cont,) = contours_at(cx, hz, 1.03)
-    d = contour_diameter(cx, cont, mode="intrinsic")
+    d = oracles.contour_intrinsic_diameter(cx, hz.values, 1.03, cont.edge_ids)
     assert d == pytest.approx(TORUS_24x12_TOP_CONTOUR_DIAM, rel=1e-12)
+    assert oracles.intrinsic_diameter(cx, cont) == pytest.approx(d,
+                                                                 rel=1e-12)
+    # the farthest-point sweep estimates it from below
+    sweep = sweep_diameters(cx, [cont])[0]
+    assert 0.9 * d <= sweep <= d + 1e-12
 
 
 def test_extrinsic_diameter_of_top_circle():
     # the level-1.03 contour hugs a horizontal mesh circle of radius < R+r
     cx = torus_mesh(24, 12)
     (cont,) = contours_at(cx, height_field(cx), 1.03)
-    d = contour_diameter(cx, cont, mode="extrinsic")
+    d = contours.extrinsic_diameters(cx, [cont])[0]
     assert 2 * 0.6 < d < 2 * 1.4
     assert d == _pdist_max(cont.points(cx))
 
@@ -623,8 +627,7 @@ def test_gap_levels_lie_inside():
     cx = circle_mesh(12)
     f = height_field(cx, axis=1)
     for gap in LevelScan(cx, f).gaps():
-        for lv in gap.levels(3):
-            assert gap.lo < lv < gap.hi
+        assert gap.lo < gap.level < gap.hi
 
 
 def test_gap_contours_match_direct_call():
@@ -634,7 +637,7 @@ def test_gap_contours_match_direct_call():
     for values in (z, np.floor(3.0 * x) + np.floor(2.0 * z)):
         f = ScalarField(values)
         for gap in LevelScan(cx, f).gaps():
-            level = gap.levels(1)[0]
+            level = gap.level
             comps = oracles.contour_components(cx, f.values, level)
             via = gap.contours(level)
             assert sorted(sorted(c.edge_ids.tolist()) for c in via) \
@@ -884,6 +887,23 @@ def test_off_round_trip(tmp_path):
     back = load_complex(path)
     assert np.array_equal(back.coords, cx.coords)
     assert np.array_equal(back.triangles, cx.triangles)
+
+
+def test_off_comments_and_crlf_load_like_plain(tmp_path):
+    plain = tmp_path / "plain.off"
+    save_complex(disk_mesh(2), plain)
+    header, counts, *rest = plain.read_text().splitlines()
+    lines = ["# written by hand", header, "# counts follow",
+             counts + "  # vertices faces edges"]
+    for k, line in enumerate(rest):
+        lines.append(line + ("  # note" if k % 3 == 0 else ""))
+        if k % 5 == 0:
+            lines.append("   # a comment line")
+    commented = tmp_path / "commented.off"
+    commented.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    a, b = load_complex(plain), load_complex(commented)
+    assert np.array_equal(a.coords, b.coords)
+    assert np.array_equal(a.triangles, b.triangles)
 
 
 def test_off_needs_coordinates(tmp_path):

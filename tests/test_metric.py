@@ -12,8 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from reebscope.complexes import (LevelScan, ScalarField, contour_diameter,
-                                 height_field)
+from reebscope.complexes import LevelScan, ScalarField, height_field
 from reebscope.complexes.generators import (circle_mesh, distance_field,
                                             flat_torus_mesh, generate_space,
                                             theta_mesh, torus_mesh,
@@ -154,7 +153,7 @@ def test_max_contour_diameter_torus_height():
     # the widest contour spans at least the outer equator's chord; mesh
     # geodesics cut corners, so it stays below the half circumference
     assert 2.0 * 1.4 * 0.9 <= d <= math.pi * 1.4 + 1e-9
-    exact = max(contour_diameter(cx, c)
+    exact = max(oracles.intrinsic_diameter(cx, c)
                 for gap in LevelScan(cx, height_field(cx)).gaps()
                 for c in gap.contours())
     assert d <= exact + 1e-12
@@ -183,12 +182,6 @@ def test_thickness_requires_surface_and_coords():
     flat = flat_torus_mesh(4)
     with pytest.raises(ValueError, match="coordinates"):
         thickness(flat, distance_field(flat, 0))
-
-
-def test_contour_diameter_validation():
-    cx = torus_mesh(8, 4)
-    with pytest.raises(ValueError, match="levels_per_edge"):
-        max_contour_diameter(cx, height_field(cx), levels_per_edge=0)
 
 
 # ----------------------------------------------------------- closed forms

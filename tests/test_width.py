@@ -323,9 +323,6 @@ def test_disk_verifier_matches_the_per_piece_reference(monkeypatch, batch):
     fields.append(ScalarField(np.round(3.0 * np.hypot(cx.coords[:, 0],
                                                       cx.coords[:, 1]))))
     for f in fields:
-        pieces = label_level_sets(cx, f.resolved_values,
-                                  np.unique(f.resolved_values))
-        assert np.diff(pieces.bounds).max() <= 1500
         for tol in (0.05, 0.6):
             for early in (True, False):
                 rep = disk_contour_verify(cx, f, tol=tol, early_stop=early)
@@ -333,6 +330,30 @@ def test_disk_verifier_matches_the_per_piece_reference(monkeypatch, batch):
                        rep.threshold, rep.passed)
                 assert got == oracles.disk_contour_verify(
                     cx, f, tol=tol, early_stop=early)
+
+
+def test_disk_verifier_measures_a_large_piece_exactly():
+    # a band from a circle of radius 0.5 up to a wobbly circle of radius
+    # about 1; the field is the height, so the top ring is one level piece
+    # of 1,600 vertices, the widest of all, and its farthest pair is found
+    # only by comparing all pairs
+    from scipy.spatial.distance import pdist
+
+    n = 1600
+    t = 2.0 * math.pi * np.arange(n) / n
+    r = 1.0 + 0.05 * np.random.default_rng(0).uniform(size=n)
+    lower = np.column_stack([0.5 * np.cos(t), 0.5 * np.sin(t), np.zeros(n)])
+    upper = np.column_stack([r * np.cos(t), r * np.sin(t), np.ones(n)])
+    i = np.arange(n)
+    j = (i + 1) % n
+    cx = SimplicialComplex(
+        triangles=np.concatenate([np.column_stack([i, j, n + i]),
+                                  np.column_stack([j, n + j, n + i])]),
+        coords=np.vstack([lower, upper]))
+    rep = disk_contour_verify(cx, ScalarField(cx.coords[:, 2].copy()),
+                              early_stop=False)
+    assert rep.interior_diam == float(pdist(upper).max())
+    assert rep.best_level == 1.0
 
 
 def test_disk_suite_does_not_import_scipy_spatial():
