@@ -10,9 +10,9 @@ Callers that read many rows of one complex ask the distance provider,
 float64 matrix of a complex fits `ALL_PAIRS_BUDGET_BYTES` (64 MiB, up to
 2,896 vertices), the first request computes it with one Dijkstra call, it
 is held with the complex for as long as the complex lives, and every
-request is a row slice of it.  Above the
-budget each request runs Dijkstra from its own sources.  scipy runs the
-same per-source Dijkstra in both cases, so the rows agree bit for bit.
+request is a row slice of it.  Above the budget each request runs Dijkstra
+from its own sources.  scipy runs the same per-source Dijkstra in both
+cases, so the rows agree bit for bit.
 
 `pair_distances` reads single entries of that matrix for aligned vertex
 arrays.  It serves the batched farthest-point kernel

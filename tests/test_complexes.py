@@ -253,9 +253,7 @@ def test_field_must_be_finite_1d():
 
 
 @pytest.mark.parametrize("call", [
-    lambda cx, f: build_reeb(cx, f),
-    lambda cx, f: LevelScan(cx, f),
-    lambda cx, f: contours_at(cx, f, 0.5),
+    build_reeb, LevelScan, lambda cx, f: contours_at(cx, f, 0.5),
 ], ids=["build_reeb", "LevelScan", "contours_at"])
 def test_field_one_value_short_is_rejected(call):
     cx = SimplicialComplex(**TRIANGLE)
