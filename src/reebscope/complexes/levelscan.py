@@ -1,10 +1,11 @@
 """Every generic level gap of a PL field, in increasing value order.
 
-Between two consecutive vertex values the level set is combinatorially
-constant, so one pass over the gaps visits every combinatorial contour
-exactly once.  The scan labels the contours of the gaps ahead in batches,
-at the gap midpoints, and a GapView places them at any level of its gap.
-Views stay valid for the life of the scan.
+Between two consecutive distinct vertex values the level set is
+combinatorially constant, so one pass over the gaps that carry level sets
+visits every combinatorial contour exactly once; `LevelScan.sample` picks
+among those gaps.  The scan labels the contours of the gaps ahead in
+batches, at the gap midpoints, and a GapView places them at any level of
+its gap.  Views stay valid for the life of the scan.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from .contours import (batch_end, crossing_counts, label_level_sets,
 class GapView:
     """Read-only window onto one value gap of a LevelScan."""
 
-    __slots__ = ("_scan", "_gap", "index", "lo", "hi")
+    __slots__ = ("_scan", "_gap", "lo", "hi")
 
-    def __init__(self, scan, gap, index, lo, hi):
+    def __init__(self, scan, gap, lo, hi):
         self._scan = scan
         self._gap = gap
-        self.index = index
         self.lo = lo
         self.hi = hi
 
@@ -46,7 +46,6 @@ class LevelScan:
         if len(field) != complex.n_vertices:
             raise ValueError("field does not match complex")
         self.complex = complex
-        self.field = field
         self.g = g = field.resolved_values
         # gap j lies between the distinct values vals[j] and vals[j + 1]
         self._vals = vals = np.unique(g)
@@ -57,14 +56,20 @@ class LevelScan:
         self._batch = (0, 0, None)
 
     def gaps(self):
-        """Yield a GapView for every gap between consecutive vertex values
-        that carries a nonempty level set.  `index` is the position, in
-        value order, of the last vertex at the gap's lower value."""
+        """Yield a GapView for every gap between consecutive distinct
+        vertex values that carries a nonempty level set."""
         vals = self._vals
-        last = np.searchsorted(np.sort(self.g), vals, side="right") - 1
         for j in np.flatnonzero(self._n_crossings).tolist():
-            yield GapView(self, j, int(last[j]), float(vals[j]),
-                          float(vals[j + 1]))
+            yield GapView(self, j, float(vals[j]), float(vals[j + 1]))
+
+    def sample(self, first: int, spread: int):
+        """Yield the views of the gaps `select_gaps` picks, counting
+        positions among the gaps that carry a level set."""
+        chosen = select_gaps(int(np.count_nonzero(self._n_crossings)),
+                             first, spread)
+        for seq, gap in enumerate(self.gaps()):
+            if seq in chosen:
+                yield gap
 
     def _contours(self, gap, level):
         start, stop, pieces = self._batch
@@ -78,20 +83,13 @@ class LevelScan:
         return level_contours(self.complex, self.g, pieces, gap - start, level)
 
 
-# gaps kept at each end of the value range by select_gap_indices
-_END_GAPS = 25
-
-
-def select_gap_indices(n_gaps: int, target: int):
-    """Deterministic subsample of gap indices: everything when small, else
-    the first and last _END_GAPS gaps (smallest contours of distance-like
-    fields live at the extremes) plus an even spread over the middle."""
-    if target <= 0 or n_gaps <= target:
-        return set(range(n_gaps))
-    q = min(_END_GAPS, n_gaps // 3)
-    picks = set(range(q)) | set(range(n_gaps - q, n_gaps))
-    middle = target - len(picks)
-    if middle > 0:
-        picks.update(int(round(i * (n_gaps - 1) / (middle - 1))) if middle > 1
-                     else (n_gaps // 2) for i in range(middle))
-    return picks
+def select_gaps(n_gaps: int, first: int, spread: int):
+    """Positions of the gaps to read among `n_gaps`: the `first` lowest
+    ones, where the smallest contours of distance-like fields live, plus
+    `spread` spaced evenly from there to the last gap.  Every gap when
+    first + spread >= n_gaps."""
+    wanted = set(range(min(first, n_gaps)))
+    if spread > 0 and n_gaps > first:
+        wanted.update(int(i) for i in
+                      np.linspace(first, n_gaps - 1, spread).round())
+    return wanted

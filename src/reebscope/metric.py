@@ -18,7 +18,7 @@ import numpy as np
 
 from .complexes.contours import _BATCH_CROSSINGS, sweep_diameters
 from .complexes.geodesic import distance_rows
-from .complexes.levelscan import LevelScan, select_gap_indices
+from .complexes.levelscan import LevelScan
 from .complexes.simplicial import ScalarField, SimplicialComplex
 from .reeb.graph import QuotientMap, ReebGraph
 
@@ -30,6 +30,9 @@ _SWEEP_CROSSINGS = _BATCH_CROSSINGS // 2
 # Vertex rows that `distortion` compares at once: each end-pair plane it
 # gathers is then 64 by V, which keeps its peak memory small.
 _DISTORTION_ROWS = 64
+
+# gaps at the low end that a capped level sample always reads
+_FIRST_GAPS = 25
 
 
 @dataclass(frozen=True)
@@ -139,17 +142,14 @@ def _level_samples(complex, field, max_levels):
     """Yield the contours at the chosen levels of the sweep, in lists of
     about _SWEEP_CROSSINGS crossings, so one kernel call measures many."""
     scan = LevelScan(complex, field)
-    wanted = None
+    gaps = scan.gaps()
     if max_levels is not None:
-        wanted = select_gap_indices(complex.n_vertices - 1,
-                                    max(1, int(max_levels)))
+        m = max(1, int(max_levels))
+        gaps = scan.sample(min(_FIRST_GAPS, m), max(0, m - _FIRST_GAPS))
     batch = []
     held = 0
-    for gap in scan.gaps():
-        if wanted is not None and gap.index not in wanted:
-            continue
-        # lo + (hi - lo) / 2 can round apart from gap.level's 0.5 * (lo + hi)
-        batch.extend(gap.contours(gap.lo + (gap.hi - gap.lo) / 2.0))
+    for gap in gaps:
+        batch.extend(gap.contours())
         held += gap.n_crossings
         if held >= _SWEEP_CROSSINGS:
             yield batch
@@ -162,10 +162,11 @@ def max_contour_diameter(complex: SimplicialComplex, field: ScalarField,
                          max_levels: int | None = None) -> float:
     """Largest contour diameter over sampled levels, estimated from below.
 
-    Levels are the midpoints of consecutive gaps between sorted vertex
-    values.  Diameters come from the farthest-point sweep, run by the
-    batched kernel `contours.sweep_diameters` over the contours of many
-    levels at once.
+    Levels are the midpoints of the gaps between distinct vertex values
+    that carry level sets: all of them, or at most `max_levels`, the
+    lowest _FIRST_GAPS and an even spread of the rest.  Diameters come
+    from the farthest-point sweep, run by the batched kernel
+    `contours.sweep_diameters` over the contours of many levels at once.
     """
     best = 0.0
     for conts in _level_samples(complex, field, max_levels):
@@ -177,7 +178,8 @@ def thickness(complex: SimplicialComplex, field: ScalarField,
               max_levels: int | None = None) -> float:
     """min over sampled contours of length / diameter.
 
-    Point contours carry no length scale and are excluded (with a
+    Contours are sampled at the gap midpoints that `max_contour_diameter`
+    reads.  Point contours carry no length scale and are excluded (with a
     warning), matching the convention that the thickness of a field only
     sees its one-dimensional contours.  Diameters come from the batched
     sweep kernel `contours.sweep_diameters`.

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes.contours import (batch_end, crossing_counts,
-                                 extrinsic_diameters, label_level_sets,
-                                 link_components, piece_diameters,
-                                 sweep_diameters)
+                                 crossing_points, extrinsic_diameters,
+                                 label_level_sets, link_components,
+                                 piece_diameters, sweep_diameters)
 from .complexes.levelscan import LevelScan
 from .complexes.simplicial import ScalarField, SimplicialComplex
 
@@ -226,15 +226,14 @@ def _piece_points(complex, g, pieces):
     items, at_vertex = pieces.items, pieces.on_vertex
     level = np.repeat(pieces.levels[pieces.piece_level],
                       np.diff(pieces.bounds))
-    coords = complex.coords
     pts = np.empty((items.size, 3))
     onb = np.empty(items.size, dtype=bool)
     cross = ~at_vertex
     u, w = complex.edges[items[cross]].T
-    s = (level[cross] - g[u]) / (g[w] - g[u])
-    pts[cross] = coords[u] + s[:, None] * (coords[w] - coords[u])
+    pts[cross] = crossing_points(complex, items[cross],
+                                 (level[cross] - g[u]) / (g[w] - g[u]))
     onb[cross] = complex.boundary_edges[items[cross]]
-    pts[at_vertex] = coords[items[at_vertex]]
+    pts[at_vertex] = complex.coords[items[at_vertex]]
     onb[at_vertex] = complex.boundary_vertices[items[at_vertex]]
     return pts, onb
 
@@ -318,21 +317,13 @@ def _unit_sphere_arc(extrinsic: float) -> float:
     return 2.0 * math.asin(min(1.0, max(0.0, extrinsic / 2.0)))
 
 
-def _stratified_gaps(n_gaps: int, first: int, uniform: int):
-    wanted = set(range(min(first, n_gaps)))
-    if uniform > 0 and n_gaps > first:
-        wanted.update(int(i) for i in
-                      np.linspace(first, n_gaps - 1, uniform).round())
-    return wanted
-
-
-def _swept_max(complex, field, chosen, target=math.inf):
-    """Largest farthest-point sweep diameter over the contours of the
-    `chosen` gaps, counted among the gaps carrying level sets, with one
-    kernel call per gap; stops once `target` is reached."""
+def _swept_max(complex, gaps, target=math.inf):
+    """Largest farthest-point sweep diameter over the contours of `gaps`,
+    in their order, with one kernel call per gap; stops once `target` is
+    reached."""
     best = 0.0
-    for seq, gap in enumerate(LevelScan(complex, field).gaps()):
-        if seq in chosen and gap.n_crossings >= 2:
+    for gap in gaps:
+        if gap.n_crossings >= 2:
             best = max(best, float(sweep_diameters(complex,
                                                    gap.contours()).max()))
             if best >= target:
@@ -340,18 +331,7 @@ def _swept_max(complex, field, chosen, target=math.inf):
     return best
 
 
-def _max_contour_diam_exactish(complex, field, first, uniform):
-    """Max intrinsic contour diameter over stratified levels, by the
-    farthest-point sweep on each contour.
-
-    Stratification counts the gaps actually carrying level sets, so tied
-    vertex values (whole rings at one height, say) do not dilute it."""
-    n_gaps = np.unique(field.resolved_values).shape[0] - 1
-    return _swept_max(complex, field,
-                      _stratified_gaps(n_gaps, first, uniform))
-
-
-def _max_contour_diam_certified(complex, field, target, first, uniform):
+def _max_contour_diam_certified(complex, field, target, first, spread):
     """Cheap lower bound on the max intrinsic contour diameter.
 
     First pass converts extrinsic crossing-point diameters to great-circle
@@ -360,23 +340,21 @@ def _max_contour_diam_certified(complex, field, target, first, uniform):
     """
     best = 0.0
     candidates = []
-    n_gaps = np.unique(field.resolved_values).shape[0] - 1
-    wanted = _stratified_gaps(n_gaps, first, uniform)
-    scan = LevelScan(complex, field)
-    for seq, gap in enumerate(scan.gaps()):
-        if seq not in wanted or gap.n_crossings < 2:
+    for gap in LevelScan(complex, field).sample(first, spread):
+        if gap.n_crossings < 2:
             continue
         level_best = _unit_sphere_arc(float(
             extrinsic_diameters(complex, gap.contours()).max()))
         best = max(best, level_best)
         if best >= target:
             return best
-        candidates.append((level_best, seq))
+        candidates.append((level_best, len(candidates), gap))
 
-    # extrinsic folding may hide a long contour; re-examine the top levels
-    candidates.sort(reverse=True)
-    retry = {s for _, s in candidates[:10]}
-    return max(best, _swept_max(complex, field, retry, target))
+    # extrinsic folding may hide a long contour; re-examine the top levels,
+    # in value order
+    top = sorted(candidates, key=lambda c: c[:2], reverse=True)[:10]
+    retry = [gap for _, _, gap in sorted(top, key=lambda c: c[1])]
+    return max(best, _swept_max(complex, retry, target))
 
 
 @dataclass(frozen=True)
@@ -427,15 +405,15 @@ def hemisphere_width_verify(h: float = 0.02, tol: float = 0.08,
 
     per_field = {}
     tripod = tripod_field(mesh)
-    per_field["tripod"] = _max_contour_diam_exactish(mesh, tripod,
-                                                     first=40, uniform=40)
+    per_field["tripod"] = _swept_max(mesh,
+                                     LevelScan(mesh, tripod).sample(40, 40))
     height = ScalarField(np.arccos(np.clip(mesh.coords[:, 2], -1.0, 1.0)))
     per_field["height"] = _max_contour_diam_certified(
-        mesh, height, target, first=60, uniform=120)
+        mesh, height, target, first=60, spread=120)
     for i in range(n_random):
         f = random_smooth_field(mesh, rng)
         per_field[f"random_{i}"] = _max_contour_diam_certified(
-            mesh, f, target, first=60, uniform=120)
+            mesh, f, target, first=60, spread=120)
 
     tripod_diam = per_field["tripod"]
     tripod_ok = abs(tripod_diam - TRIPOD_WIDTH) <= tripod_rtol * TRIPOD_WIDTH

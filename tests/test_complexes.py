@@ -32,7 +32,7 @@ from reebscope.complexes.contours import piece_diameters, sweep_diameters
 from reebscope.complexes.geodesic import (ALL_PAIRS_BUDGET_BYTES, diameter,
                                           distance_rows, single_source,
                                           vertex_distances)
-from reebscope.complexes.levelscan import LevelScan, select_gap_indices
+from reebscope.complexes.levelscan import LevelScan, select_gaps
 from reebscope.complexes.simplicial import (NonGenericLevelError,
                                             link_components)
 from reebscope.metric import distortion, max_contour_diameter
@@ -642,13 +642,35 @@ def test_gap_contours_match_direct_call():
                 == sorted(sorted(c) for c in comps)
 
 
-def test_select_gap_indices():
-    idx = select_gap_indices(100, 10)
+@pytest.mark.parametrize("n_gaps", [1, 3, 100, 481])
+@pytest.mark.parametrize("first,spread", [(0, 2), (1, 2), (25, 375),
+                                          (10, 10), (40, 40), (60, 120)])
+def test_select_gaps(n_gaps, first, spread):
+    idx = select_gaps(n_gaps, first, spread)
     # both extremes are always kept; the rest spreads over the middle
-    assert {0, 99} <= idx
-    assert all(0 <= i < 100 for i in idx)
-    assert len(idx) <= 2 * 25 + 10
-    assert select_gap_indices(3, 50) == set(range(3))
+    assert {0, n_gaps - 1} <= idx
+    assert all(0 <= i < n_gaps for i in idx)
+    assert len(idx) <= first + spread
+    if first + spread >= n_gaps:
+        assert idx == set(range(n_gaps))
+
+
+def test_select_gaps_spread_is_even():
+    idx = sorted(select_gaps(100, 0, 10))
+    assert idx == [0, 11, 22, 33, 44, 55, 66, 77, 88, 99]
+    assert select_gaps(100, 25, 0) == set(range(25))
+    assert select_gaps(3, 50, 50) == set(range(3))
+
+
+def test_level_scan_sample_counts_gaps_with_level_sets():
+    # two disjoint edges leave the gap between their values empty
+    cx = SimplicialComplex(edges=[[0, 1], [2, 3]], lengths=[1.0, 1.0],
+                           n_vertices=4)
+    scan = LevelScan(cx, ScalarField([0.0, 1.0, 2.0, 3.0]))
+    assert [(g.lo, g.hi) for g in scan.gaps()] == [(0.0, 1.0), (2.0, 3.0)]
+    assert [(g.lo, g.hi) for g in scan.sample(0, 2)] \
+        == [(0.0, 1.0), (2.0, 3.0)]
+    assert [(g.lo, g.hi) for g in scan.sample(1, 0)] == [(0.0, 1.0)]
 
 
 # ------------------------------------------------------------------- geodesics

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from reebscope.complexes import LevelScan, ScalarField, height_field
+from reebscope.complexes import levelscan
 from reebscope.complexes.generators import (circle_mesh, distance_field,
                                             flat_torus_mesh, generate_space,
                                             theta_mesh, torus_mesh,
@@ -166,6 +167,37 @@ def test_max_contour_diameter_subsampling_is_a_lower_bound():
     sub = max_contour_diameter(cx, f, max_levels=40)
     assert sub <= full + 1e-12
     assert sub > 0.5 * full
+
+
+def _gaps_read(monkeypatch, measure, *args, **kwargs):
+    """The number of distinct gaps whose contours `measure` reads."""
+    read = set()
+    contours = levelscan.GapView.contours
+
+    def counted(gap, level=None):
+        read.add((gap.lo, gap.hi))
+        return contours(gap, level)
+
+    monkeypatch.setattr(levelscan.GapView, "contours", counted)
+    measure(*args, **kwargs)
+    return len(read)
+
+
+def test_level_sample_reads_gaps_with_level_sets(monkeypatch):
+    # the sphere's height has whole rings of vertices at one value: its
+    # 21 gaps must not be diluted by the vertex count
+    sphere = generate_space("sphere", 0.15)
+    n_gaps = len(list(LevelScan(sphere.complex, sphere.field).gaps()))
+    assert n_gaps == 21
+    assert _gaps_read(monkeypatch, thickness, sphere.complex, sphere.field,
+                      max_levels=120) == 21
+
+    torus = generate_space("torus", 0.15).complex
+    f = distance_field(torus, 0)
+    n_gaps = len(list(LevelScan(torus, f).gaps()))
+    for m in (40, n_gaps, n_gaps + 10):
+        assert _gaps_read(monkeypatch, max_contour_diameter, torus, f,
+                          max_levels=m) == min(m, n_gaps)
 
 
 def test_thickness_torus_height_comfortably_above_one():

@@ -12,7 +12,8 @@ import pytest
 import oracles
 from reebscope.complexes import ScalarField
 from reebscope.complexes.generators import (disk_mesh, generate_space,
-                                            theta_mesh, torus_mesh)
+                                            hemisphere_mesh, theta_mesh,
+                                            torus_mesh)
 from reebscope.complexes.simplicial import SimplicialComplex
 from reebscope.width import (TRIPOD_WIDTH, GlobalGeometry, LocalGeometry,
                              convexity_radius_bound, disk_contour_verify,
@@ -22,8 +23,9 @@ from reebscope.width import (TRIPOD_WIDTH, GlobalGeometry, LocalGeometry,
 from reebscope.complexes import contours
 from reebscope.complexes.contours import label_level_sets, link_components
 from reebscope.suites import _disk_fields
-from reebscope.width import (_candidate_levels, _piece_points,
-                             _unit_sphere_arc)
+from reebscope import width
+from reebscope.width import (_candidate_levels, _max_contour_diam_certified,
+                             _piece_points, _unit_sphere_arc)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -506,3 +508,36 @@ def test_hemisphere_verify_coarse_structure():
     doc = rep.to_json_doc()
     assert doc["pass"] is True
     assert doc["tripod_diam"] == rep.tripod_diam
+
+
+# hemisphere_width_verify(h=0.05, n_random=2) before the gap sampler was
+# shared with the contour-size estimates
+HEMISPHERE_005_PER_FIELD = {
+    "tripod": 2.222389272323032,
+    "height": 2.0764149778550136,
+    "random_0": 2.139863448458934,
+    "random_1": 2.043420091603936,
+}
+
+
+def test_hemisphere_verify_values_frozen():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = hemisphere_width_verify(h=0.05, n_random=2)
+    assert rep.per_field == HEMISPHERE_005_PER_FIELD
+
+
+def test_certified_retry_reuses_the_scan(monkeypatch):
+    made = []
+
+    class Counted(width.LevelScan):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(width, "LevelScan", Counted)
+    mesh = hemisphere_mesh(16)
+    f = ScalarField(np.arccos(np.clip(mesh.coords[:, 2], -1.0, 1.0)))
+    # an unreachable target forces the sweep of the top levels
+    assert _max_contour_diam_certified(mesh, f, math.inf, 60, 120) > 0.0
+    assert len(made) == 1
