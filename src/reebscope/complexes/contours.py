@@ -14,11 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .simplicial import (NonGenericLevelError, ScalarField, SimplicialComplex,
-                         link_components)
+                         components, link_components)
 from .geodesic import pair_distances, through_ends
 
 
@@ -160,11 +158,8 @@ def label_level_sets(complex: SimplicialComplex, g, levels) -> LevelPieces:
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     both = rank[np.vstack([joins, flat_joins])]
-    graph = coo_matrix((np.ones(both.shape[0], dtype=bool),
-                        (both[:, 0], both[:, 1])),
-                       shape=(order.size, order.size))
-    n_pieces, labels = connected_components(graph, directed=False)
-    del rank, both, graph
+    n_pieces, labels = components(order.size, both[:, 0], both[:, 1])
+    del rank, both
     points = order[np.argsort(labels, kind="stable")]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(
         labels, minlength=n_pieces))])

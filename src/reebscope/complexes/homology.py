@@ -31,10 +31,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, components
 
 # sign of each column of triangle_edges (ij, ik, jk) in the boundary
 _EDGE_SIGNS = np.array([1, -1, 1])
@@ -96,9 +94,7 @@ def _cycle_rank(complex: SimplicialComplex) -> int:
     flip = np.where(sign[a] == sign[b], t, 0)
     rows = np.concatenate([tri[a], tri[a] + t])
     cols = np.concatenate([tri[b] + flip, tri[b] + t - flip])
-    cover = coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),
-                       shape=(2 * t, 2 * t))
-    label = connected_components(cover, directed=False)[1]
+    label = components(2 * t, rows, cols)[1]
     up, down = label[:t], label[t:]
     comp = np.minimum(up, down)
     sigma = np.where(up == comp, 1, -1)

@@ -23,6 +23,13 @@ class NonGenericLevelError(ValueError):
     """Raised when a level query coincides with a vertex value."""
 
 
+def components(n, a, b):
+    """Connected components of the graph on nodes 0..n-1 with the edges
+    a[i]b[i]: their number, and a label per node numbered by least node."""
+    graph = coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(n, n))
+    return connected_components(graph, directed=False)
+
+
 def _as_int_rows(rows, width, what):
     """`rows` as an (n, width) int64 array.  Booleans and non-integral
     numbers are not vertex ids; numpy would read them as 0/1 or truncate
@@ -150,7 +157,8 @@ class SimplicialComplex:
             self.boundary_vertices = np.bincount(self.edges.ravel(),
                                                  minlength=n) == 1
 
-        self.component_labels = self._components()
+        self.component_labels = components(
+            n, self.edges[:, 0], self.edges[:, 1])[1].astype(np.int64)
         self.n_components = int(self.component_labels.max()) + 1 \
             if self.n_vertices else 0
 
@@ -170,13 +178,6 @@ class SimplicialComplex:
         """Edge id of each key i*V + j (i < j), -1 where there is no edge."""
         pos = np.searchsorted(self._keys, keys)
         return np.where(self._keys[pos] == keys, self._key_edge[pos], -1)
-
-    def _components(self):
-        """Component label per vertex, numbered by least vertex."""
-        ones = np.ones(self.n_edges, dtype=bool)
-        graph = coo_matrix((ones, (self.edges[:, 0], self.edges[:, 1])),
-                           shape=(self.n_vertices, self.n_vertices))
-        return connected_components(graph, directed=False)[1].astype(np.int64)
 
     def edge_id(self, i, j):
         i, j = min(i, j), max(i, j)
@@ -236,10 +237,7 @@ def link_components(complex: SimplicialComplex, g):
     # an edge in no triangle is in no link
     side[np.repeat(complex.edge_triangle_count == 0, 2)] = 2
     same = side[a] == side[b]
-    graph = coo_matrix((np.ones(int(same.sum()), dtype=bool),
-                        (a[same], b[same])),
-                       shape=(centre.size, centre.size))
-    n_comp, labels = connected_components(graph, directed=False)
+    n_comp, labels = components(centre.size, a[same], b[same])
     # the nodes of a component share their centre and their side
     comp_centre = np.empty(n_comp, dtype=np.int64)
     comp_centre[labels] = centre

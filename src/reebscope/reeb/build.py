@@ -30,18 +30,11 @@ the same graph in every process.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from ..complexes.contours import (_EDGE_COLUMN, label_level_sets,
                                    link_components)
-from ..complexes.simplicial import ScalarField, SimplicialComplex
+from ..complexes.simplicial import ScalarField, SimplicialComplex, components
 from .graph import QuotientMap, ReebGraph
-
-
-def _components(n, a, b):
-    graph = coo_matrix((np.ones(a.size, dtype=bool), (a, b)), shape=(n, n))
-    return connected_components(graph, directed=False)
 
 
 def _critical_values(complex: SimplicialComplex, g):
@@ -127,8 +120,8 @@ def _slab_pieces(complex: SimplicialComplex, g, L, v_piece, n_lp,
     off = np.flatnonzero(v_piece < 0)
     v_node = np.full(complex.n_vertices, -1, dtype=np.int64)
     v_node[off] = n_parts + np.arange(off.size)
-    n_slab, labels = _components(n_parts + off.size,
-                                 *_slab_joins(complex, g, parts, v_node))
+    n_slab, labels = components(n_parts + off.size,
+                                *_slab_joins(complex, g, parts, v_node))
     del parts, v_node
 
     # a part touches the level piece of its edge's crossing at L[k]
@@ -179,7 +172,7 @@ def build_reeb(complex: SimplicialComplex, field: ScalarField):
     slab_out[below] = np.arange(n_sp)
     through = (np.bincount(above, minlength=n_lp) == 1) \
         & (np.bincount(below, minlength=n_lp) == 1)
-    n_arcs, arc = _components(n_sp, slab_in[through], slab_out[through])
+    n_arcs, arc = components(n_sp, slab_in[through], slab_out[through])
     node = np.flatnonzero(~through)
     node = node[np.lexsort((least[node], piece_level[node]))]
     node_id = np.full(n_lp, -1, dtype=np.int64)

@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from ..complexes.geodesic import through_ends
+from ..complexes.simplicial import components
 
 
 class ReebGraph:
@@ -48,9 +47,7 @@ class ReebGraph:
     def n_components(self):
         if self._components is None:
             u, v = self._edge_nodes.T
-            graph = coo_matrix((np.ones(u.size, dtype=bool), (u, v)),
-                               shape=(self.n_nodes, self.n_nodes))
-            self._components = connected_components(graph, directed=False)[0]
+            self._components = components(self.n_nodes, u, v)[0]
         return self._components
 
     @property
