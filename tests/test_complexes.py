@@ -659,7 +659,6 @@ def test_select_gaps_spread_is_even():
     idx = sorted(select_gaps(100, 0, 10))
     assert idx == [0, 11, 22, 33, 44, 55, 66, 77, 88, 99]
     assert select_gaps(100, 25, 0) == set(range(25))
-    assert select_gaps(3, 50, 50) == set(range(3))
 
 
 def test_level_scan_sample_counts_gaps_with_level_sets():

@@ -12,7 +12,8 @@ import pytest
 import oracles
 from reebscope.complexes import ScalarField
 from reebscope.complexes.generators import (disk_mesh, generate_space,
-                                            hemisphere_mesh, theta_mesh,
+                                            hemisphere_mesh,
+                                            random_smooth_field, theta_mesh,
                                             torus_mesh)
 from reebscope.complexes.simplicial import SimplicialComplex
 from reebscope.width import (TRIPOD_WIDTH, GlobalGeometry, LocalGeometry,
@@ -537,7 +538,14 @@ def test_certified_retry_reuses_the_scan(monkeypatch):
 
     monkeypatch.setattr(width, "LevelScan", Counted)
     mesh = hemisphere_mesh(16)
-    f = ScalarField(np.arccos(np.clip(mesh.coords[:, 2], -1.0, 1.0)))
-    # an unreachable target forces the sweep of the top levels
-    assert _max_contour_diam_certified(mesh, f, math.inf, 60, 120) > 0.0
+    f = random_smooth_field(mesh, np.random.default_rng(0))
+    # the first pass tops out at 3.0831 on this field, so both targets
+    # force the sweep of the top levels; values from before the sampler
+    # was shared, which swept them with a second scan
+    assert _max_contour_diam_certified(mesh, f, math.inf, 60, 120) \
+        == 3.2093914912414903
     assert len(made) == 1
+    # the sweep runs in value order and stops at the first level to
+    # reach the target
+    assert _max_contour_diam_certified(mesh, f, 3.1, 60, 120) \
+        == 3.1014980917507837
