@@ -1,16 +1,20 @@
 """Mesh and field file formats.
 
-OFF carries vertices and triangles.  The JSON complex document carries
-{"vertices": [[x,y,z], ...], "edges": [[i,j], ...], "triangles": [[i,j,k],
-...]}; metric-only complexes omit "vertices" and write edges as [i, j,
-length] triples with an explicit "n_vertices".  Fields are one decimal per
-line, or a JSON array.  Floats are written with repr, which round-trips
-exactly (17 significant digits suffice for binary64).
+OFF: `OFF` (any case), the vertex, face and unread edge counts, x y z per
+vertex and `3 i j k` per face (ids in [0, V)), as whitespace-split decimals;
+`#` comments run to the line end, and numbers past the last face are ignored.
+The JSON complex document carries {"vertices": [[x,y,z], ...], "edges":
+[[i,j], ...], "triangles": [[i,j,k], ...]}; metric-only complexes omit
+"vertices" and write edges as [i, j, length] triples with an explicit
+"n_vertices".  Fields are one decimal per line, or a JSON array.  Floats are
+written with repr, which round-trips exactly (17 significant digits suffice
+for binary64).
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +24,13 @@ from .simplicial import ScalarField, SimplicialComplex
 
 def load_complex(path) -> SimplicialComplex:
     path = Path(path)
-    if path.suffix.lower() == ".off":
-        return _read_off(path)
-    if path.suffix.lower() == ".json":
-        return _read_json(path)
-    raise ValueError(f"unknown mesh format {path.suffix!r} (use .off or .json)")
+    read = {".off": _read_off, ".json": _read_json}.get(path.suffix.lower())
+    if read is None:
+        raise ValueError(f"unknown mesh format {path.suffix!r} (use .off or .json)")
+    try:
+        return read(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_complex(cx: SimplicialComplex, path) -> None:
@@ -33,10 +39,8 @@ def save_complex(cx: SimplicialComplex, path) -> None:
         if cx.coords is None:
             raise ValueError("OFF needs coordinates; use the JSON format")
         lines = ["OFF", f"{cx.n_vertices} {cx.n_triangles} 0"]
-        for p in cx.coords:
-            lines.append(" ".join(repr(float(x)) for x in p))
-        for t in cx.triangles.tolist():
-            lines.append("3 " + " ".join(str(v) for v in t))
+        lines += [f"{x!r} {y!r} {z!r}" for x, y, z in cx.coords.tolist()]
+        lines += [f"3 {i} {j} {k}" for i, j, k in cx.triangles.tolist()]
         path.write_text("\n".join(lines) + "\n")
         return
     if path.suffix.lower() != ".json":
@@ -53,67 +57,60 @@ def save_complex(cx: SimplicialComplex, path) -> None:
 
 
 def _read_off(path: Path) -> SimplicialComplex:
-    text = path.read_text()
-    if "#" in text:
-        text = "\n".join(line.split("#", 1)[0]
-                         for line in text.splitlines())
-    tokens = text.split()
-    if not tokens or tokens[0].upper() != "OFF":
-        raise ValueError(f"{path}: not an OFF file")
-    if len(tokens) < 4:
-        raise ValueError(f"{path}: truncated OFF header")
-    try:
-        nv, nf = int(tokens[1]), int(tokens[2])
-        if nv < 0 or nf < 0:
-            raise ValueError(f"negative count in OFF header {nv} {nf}")
-        coords = np.array(tokens[4:4 + 3 * nv], dtype=float)
-        if coords.size < 3 * nv:
-            raise ValueError("truncated OFF vertex list")
-        # each face is a count, 3, and three vertex ids
-        faces = tokens[4 + 3 * nv:4 + 3 * nv + 4 * nf]
-        if np.any(np.array(faces[::4], dtype=np.int64) != 3):
-            raise ValueError("only triangle faces supported")
-        if len(faces) < 4 * nf:
-            raise ValueError("truncated OFF face list")
-        tris = np.array(faces, dtype=np.int64).reshape(-1, 4)[:, 1:]
-        return SimplicialComplex(triangles=tris,
-                                 coords=coords.reshape(nv, 3),
-                                 name=path.stem)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    head = re.sub("#.*", "", path.read_text()).split(None, 4)
+    if not head or head[0].upper() != "OFF":
+        raise ValueError("not an OFF file")
+    if len(head) < 4:
+        raise ValueError("truncated OFF header")
+    nv, nf = int(head[1]), int(head[2])
+    if nv < 0 or nf < 0:
+        raise ValueError(f"negative count in OFF header {nv} {nf}")
+    # split() starts the body at a token: blanks alone read as [-1.0]
+    nums = np.fromstring(head.pop() if len(head) > 4 else "", sep=" ")
+    if nums.size < 3 * nv:
+        raise ValueError("truncated OFF vertex list")
+    # each face is a count, 3, and three vertex ids
+    faces = nums[3 * nv:3 * nv + 4 * nf]
+    if np.any(faces[::4] != 3):
+        raise ValueError("only triangle faces supported")
+    if faces.size < 4 * nf:
+        raise ValueError("truncated OFF face list")
+    # checked before the complex's int64 cast, which would wrap 1e20
+    ids = faces.reshape(nf, 4)[:, 1:]
+    if np.any((ids < 0) | (ids >= nv)):
+        raise ValueError("triangle vertex index out of range")
+    coords, tris = nums[:3 * nv].reshape(nv, 3).copy(), ids.copy()
+    del nums, faces, ids  # free the numbers before the set-up
+    return SimplicialComplex(triangles=tris, coords=coords, name=path.stem)
 
 
 def _read_json(path: Path) -> SimplicialComplex:
     doc = json.loads(path.read_text())
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: JSON mesh must be an object")
+        raise ValueError("JSON mesh must be an object")
     if "vertices" not in doc and "n_vertices" not in doc:
-        raise ValueError(f"{path}: JSON mesh needs 'vertices' or "
-                         f"'n_vertices'")
+        raise ValueError("JSON mesh needs 'vertices' or 'n_vertices'")
     rows = doc.get("edges") or []
     tris = doc.get("triangles") or []
     try:
         if "vertices" in doc:
             coords = np.asarray(doc["vertices"], dtype=float)
         elif any(len(e) != 3 for e in rows):
-            raise ValueError(f"{path}: metric-only edges need [i, j, length]")
+            raise ValueError("metric-only edges need [i, j, length]")
         else:
             n_vertices = doc["n_vertices"]
             if type(n_vertices) is not int or n_vertices < 0:
-                raise ValueError(f"{path}: 'n_vertices' must be a "
-                                 f"nonnegative integer, not {n_vertices!r}")
+                raise ValueError(f"'n_vertices' must be a nonnegative "
+                                 f"integer, not {n_vertices!r}")
             lengths = np.asarray([e[2] for e in rows], dtype=float)
         edges = [e[:2] for e in rows]
     except TypeError as exc:
-        raise ValueError(f"{path}: malformed JSON mesh ({exc})") from None
-    try:
-        if "vertices" in doc:
-            return SimplicialComplex(edges=edges, triangles=tris,
-                                     coords=coords, name=path.stem)
-        return SimplicialComplex(edges=edges, lengths=lengths, triangles=tris,
-                                 n_vertices=n_vertices, name=path.stem)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"malformed JSON mesh ({exc})") from None
+    if "vertices" in doc:
+        return SimplicialComplex(edges=edges, triangles=tris, coords=coords,
+                                 name=path.stem)
+    return SimplicialComplex(edges=edges, lengths=lengths, triangles=tris,
+                             n_vertices=n_vertices, name=path.stem)
 
 
 def load_field(path, n_vertices=None) -> ScalarField:

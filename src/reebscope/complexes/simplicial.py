@@ -127,7 +127,9 @@ class SimplicialComplex:
             if np.any(np.diff(self._keys) == 0):
                 raise ValueError("duplicate edge")
         else:
-            keys = np.unique(np.concatenate([given_keys, tri_keys.ravel()]))
+            # not np.unique, which hashes int64 keys: slower than a sort
+            keys = np.sort(np.concatenate([given_keys, tri_keys.ravel()]))
+            keys = keys[np.diff(keys, prepend=-1) != 0]
             self.edges = np.column_stack([keys // n, keys % n])
             d = self.coords[self.edges[:, 0]] - self.coords[self.edges[:, 1]]
             self.lengths = np.linalg.norm(d, axis=1)

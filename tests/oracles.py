@@ -12,7 +12,9 @@ provider, and so does the all-pairs intrinsic contour diameter.  The
 disk verifier reference measures one level piece at a time with scipy's
 pdist, in the scan order.  Betti numbers come from
 fraction-free integer elimination of the whole triangle boundary matrix,
-the method the library's dual-graph kernel replaced.
+the method the library's dual-graph kernel replaced.  OFF files are read
+from a Python token list of the whole text, converting each token on its
+own, as the library did before it parsed the body with one numpy call.
 Run as a script to print the values the tests freeze.
 """
 
@@ -443,6 +445,39 @@ def betti_elimination(complex):
     rank_d2 = _rank_elimination(cols)
     b1 = len(edges) - (complex.n_vertices - b0) - rank_d2
     return b0, b1, len(cols) - rank_d2
+
+
+# ---------------------------------------------------------------- file io
+
+def read_off(path):
+    """Coordinates and triangles of an OFF file, from one Python token list
+    of the whole text: the reader the library's one-parse reader replaced."""
+    text = path.read_text()
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0]
+                         for line in text.splitlines())
+    tokens = text.split()
+    if not tokens or tokens[0].upper() != "OFF":
+        raise ValueError(f"{path}: not an OFF file")
+    if len(tokens) < 4:
+        raise ValueError(f"{path}: truncated OFF header")
+    try:
+        nv, nf = int(tokens[1]), int(tokens[2])
+        if nv < 0 or nf < 0:
+            raise ValueError(f"negative count in OFF header {nv} {nf}")
+        coords = np.array(tokens[4:4 + 3 * nv], dtype=float)
+        if coords.size < 3 * nv:
+            raise ValueError("truncated OFF vertex list")
+        # each face is a count, 3, and three vertex ids
+        faces = tokens[4 + 3 * nv:4 + 3 * nv + 4 * nf]
+        if np.any(np.array(faces[::4], dtype=np.int64) != 3):
+            raise ValueError("only triangle faces supported")
+        if len(faces) < 4 * nf:
+            raise ValueError("truncated OFF face list")
+        tris = np.array(faces, dtype=np.int64).reshape(-1, 4)[:, 1:]
+        return coords.reshape(nv, 3), tris
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------- freeze run

@@ -7,6 +7,7 @@ library code paths.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -942,6 +943,50 @@ def test_off_rejects_non_triangle_faces(tmp_path):
     p.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n")
     with pytest.raises(ValueError, match="triangle faces"):
         load_complex(p)
+
+
+_OFF_VERTS = ["0 0 0", "1 0 0", "0 1 0", "1 1 0"]
+_OFF_FACES = ["3 0 1 2", "3 1 3 2"]
+
+
+@pytest.mark.parametrize("text", [
+    "OFF 4 2 0\n" + "\n".join(_OFF_VERTS + _OFF_FACES) + "\n",
+    "# mesh\nOFF # header\n4 2 0 # counts\n# vertices\n"
+    + "\n".join(v + " # v" for v in _OFF_VERTS) + "\n#\n"
+    + "\n".join(_OFF_FACES) + "# end\n",
+    "OFF\r\n4\t2\t0\r\n" + "\r\n".join(v.replace(" ", "\t")
+                                     for v in _OFF_VERTS + _OFF_FACES),
+    "OFF\n4 2 0\n" + "\n".join(_OFF_VERTS + _OFF_FACES),
+    "OFF\n4 2 0\n1e-3 -0.0 2.5E+2\n1.0e0 +0 -1E-300\n0.1 1 -0\n"
+    "1 6.02214076e23 0\n" + "\n".join(_OFF_FACES) + "\n",
+    "OFF\n4 2 5\n" + "\n".join(_OFF_VERTS + _OFF_FACES) + "\n",
+    "OFF\n4 2 0\n" + "\n".join(_OFF_VERTS + _OFF_FACES) + "\n3 0 1 3\n7\n",
+], ids=["counts-on-off-line", "comments", "tabs-crlf", "no-final-newline",
+        "exponents-negative-zero", "edge-count", "extra-tokens"])
+def test_off_reader_matches_token_list_reference(tmp_path, text):
+    p = tmp_path / "mesh.off"
+    p.write_bytes(text.encode())
+    cx = load_complex(p)
+    ref_coords, ref_tris = oracles.read_off(p)
+    assert cx.coords.dtype == np.float64 and cx.triangles.dtype == np.int64
+    assert np.array_equal(cx.coords, ref_coords)
+    assert np.array_equal(np.signbit(cx.coords), np.signbit(ref_coords))
+    # the complex keeps each triangle once, sorted, in sorted order
+    assert np.array_equal(cx.triangles,
+                          np.unique(np.sort(ref_tris, axis=1), axis=0))
+
+
+@pytest.mark.parametrize("body", [
+    "0 0 0\n1 0 0\n0 1 0\n3 0 1 2.5\n",
+    "0 0 0\n1 0 0\n0 1 0\n3 0 1 1e20\n",
+    "0 0 0\n1 0 0\n",
+], ids=["fractional-id", "huge-id", "truncated-vertices"])
+def test_off_reader_names_the_file_in_its_errors(tmp_path, body):
+    p = tmp_path / "bad.off"
+    p.write_text("OFF\n3 1 0\n" + body)
+    for read in (load_complex, oracles.read_off):
+        with pytest.raises(ValueError, match=re.escape(str(p))):
+            read(p)
 
 
 def test_field_round_trip_exact(tmp_path):
