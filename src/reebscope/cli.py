@@ -2,7 +2,7 @@
 
 Machine-readable JSON goes to stdout (byte-identical for a fixed seed);
 human-readable tables go to stderr.  Exit codes: 0 success, 1 at least
-one suite check failed, 2 usage or validation error.
+one suite check failed, 2 usage or validation error or lack of memory.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import click
 
 from .complexes.io import load_complex, load_field
 from .reeb.build import build_reeb
-from .spaces import SpaceParseError, evaluate, parse_space
+from .spaces import evaluate, parse_space
 from .suites import SUITES, format_reports
 from .width import (GlobalGeometry, LocalGeometry, reeb_width_global,
                     reeb_width_local, simplified_bounds,
@@ -52,6 +52,8 @@ def cmd_reeb(mesh_path, field_path, out_prefix):
         graph, _ = build_reeb(complex, field)
     except (OSError, ValueError) as exc:
         _fail_usage(str(exc))
+    except MemoryError:
+        _fail_usage(f"{mesh_path}: not enough memory for its Reeb graph")
     with open(out_prefix + ".json", "w") as fh:
         fh.write(graph.to_json())
     with open(out_prefix + ".dot", "w") as fh:
@@ -108,9 +110,7 @@ def cmd_space(expr):
     'product(torus(3), surface(g=2))'."""
     try:
         record = evaluate(parse_space(expr))
-    except SpaceParseError as exc:
-        _fail_usage(str(exc))
-    except ValueError as exc:
+    except ValueError as exc:  # SpaceParseError among them
         _fail_usage(str(exc))
     _emit({"schema": 1, **record.to_json_doc()})
 

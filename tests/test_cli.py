@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from reebscope import cli
 from reebscope.cli import main
 from reebscope.complexes.generators import (disk_mesh, genus_mesh,
                                             random_smooth_field, theta_mesh,
@@ -134,6 +135,22 @@ def test_reeb_command_rejects_nan_coordinates(runner, tmp_path):
                                str(field), "--out", str(tmp_path / "g")])
     assert res.exit_code == 2
     assert "error:" in res.stderr
+    assert not (tmp_path / "g.json").exists()
+
+
+@pytest.mark.parametrize("stage", ["load_complex", "build_reeb"])
+def test_reeb_command_reports_lack_of_memory(runner, tmp_path, monkeypatch,
+                                             stage):
+    _, mesh, field = _torus_files(tmp_path)
+
+    def starved(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, stage, starved)
+    res = runner.invoke(main, ["reeb", "--mesh", mesh, "--field", field,
+                               "--out", str(tmp_path / "g")])
+    _assert_usage_error(res)
+    assert mesh in res.stderr and "memory" in res.stderr
     assert not (tmp_path / "g.json").exists()
 
 
