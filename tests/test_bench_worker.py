@@ -39,19 +39,22 @@ def _round(args, hash_seed="0"):
 
 
 def test_reeb_mesh_round_passes_its_checks_and_is_reproducible(tmp_path):
+    # fields 6 and 7 are the inputs of run.py's seed 3
     inputs = _load("inputs")
     coords, triangles = inputs.genus3_mesh()
-    mesh, field = tmp_path / "genus3.off", tmp_path / "field-2.txt"
+    mesh = tmp_path / "genus3.off"
     inputs.write_off(mesh, coords, triangles)
-    inputs.write_field(field, inputs.random_field(coords, 2))
-    digests = []
-    for hash_seed in ("0", "1"):
-        doc = _round(["reeb-mesh", 2, 0, mesh, field,
-                      tmp_path / f"graph-{hash_seed}"], hash_seed)
-        assert doc["errors"] == []
-        assert doc["attempted"] == 1 and doc["failed"] == 0
-        digests.append(doc["digest"])
-    assert digests[0] == digests[1]
+    for k in (2, 6, 7):
+        field = tmp_path / f"field-{k}.txt"
+        inputs.write_field(field, inputs.random_field(coords, k))
+        digests = []
+        for hash_seed in ("0", "1"):
+            doc = _round(["reeb-mesh", k, 0, mesh, field,
+                          tmp_path / f"graph-{k}-{hash_seed}"], hash_seed)
+            assert doc["errors"] == [], k
+            assert doc["attempted"] == 1 and doc["failed"] == 0
+            digests.append(doc["digest"])
+        assert digests[0] == digests[1], k
 
 
 def test_thm62_round_passes_its_checks(tmp_path):
