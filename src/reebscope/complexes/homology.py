@@ -13,7 +13,7 @@ solved as a graph:
 * an edge in one triangle t forces c_t = 0;
 * an edge in two triangles t, u forces c_u = -a_et a_eu c_t.
 
-One `connected_components` call on the double cover, with nodes t+ and
+One `components` call on the double cover, with nodes t+ and
 t- and an edge joining t± to u± or u∓ as that sign says, labels the dual
 components.  A component whose t+ and t- share a label is non-orientable
 and forces c = 0 on it, as does one that holds an edge of the first

@@ -13,8 +13,6 @@ near-ties from float noise are snapped to one value (`resolved_values`).
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 COORD_LENGTH_RTOL = 1e-9
 
@@ -25,9 +23,40 @@ class NonGenericLevelError(ValueError):
 
 def components(n, a, b):
     """Connected components of the graph on nodes 0..n-1 with the edges
-    a[i]b[i]: their number, and a label per node numbered by least node."""
-    graph = coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(n, n))
-    return connected_components(graph, directed=False)
+    a[i]b[i]: their number, and an int32 label per node numbered by least
+    node.
+
+    A hook-and-jump union-find (Shiloach and Vishkin, J. Algorithms 1982),
+    one numpy pass per step.  Every node points at itself or at a smaller
+    node, so each tree's root is the least node of its component.  The
+    first hook needs no minimum, as every node is then a root; later hooks
+    take the least root offered, so that a root joined to many others
+    (a star's centre) does not take one of them per round.
+    """
+    a = np.asarray(a, dtype=np.intp)
+    b = np.asarray(b, dtype=np.intp)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    if lo.size and not 0 <= lo.min() <= hi.max() < n:
+        raise ValueError(f"edge ends {lo.min()}..{hi.max()} outside the "
+                         f"nodes 0..{n - 1}")
+    parent = np.arange(n)
+    parent[hi] = lo
+    while True:
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+        lo, hi = parent[lo], parent[hi]
+        cross = lo != hi
+        if not cross.any():
+            break
+        lo, hi = lo[cross], hi[cross]
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        np.minimum.at(parent, hi, lo)
+    root = parent == np.arange(n)
+    labels = (np.cumsum(root, dtype=np.int32) - 1)[parent]
+    return int(np.count_nonzero(root)), labels
 
 
 def _as_int_rows(rows, width, what):

@@ -15,7 +15,8 @@ fraction-free integer elimination of the whole triangle boundary matrix,
 the method the library's dual-graph kernel replaced.  OFF files are read
 from a Python token list of the whole text, converting each token on its
 own, as the library did before it parsed the body with one numpy call.
-Run as a script to print the values the tests freeze.
+Graph components come from scipy's `connected_components`, the call the
+library's union-find replaced.  Run as a script to print the values the tests freeze.
 """
 
 from __future__ import annotations
@@ -402,6 +403,18 @@ def distortion_oracle(complex, field, graph, qmap):
             dr = quotient_distance(graph, qmap, nd, i, j)
             worst = max(worst, abs(float(dx[i, j]) - dr))
     return worst
+
+
+# ---------------------------------------------------------------- components
+
+def components(n, a, b):
+    """scipy's connected components of the graph on nodes 0..n-1 with the
+    edges a[i]b[i]: their number, and an int32 label per node numbered by
+    least node."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    graph = coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(n, n))
+    return connected_components(graph, directed=False)
 
 
 # ---------------------------------------------------------------- homology

@@ -35,7 +35,7 @@ from reebscope.complexes.geodesic import (ALL_PAIRS_BUDGET_BYTES, diameter,
                                           vertex_distances)
 from reebscope.complexes.levelscan import LevelScan, select_gaps
 from reebscope.complexes.simplicial import (NonGenericLevelError,
-                                            link_components)
+                                            components, link_components)
 from reebscope.metric import distortion, max_contour_diameter
 from reebscope.reeb import build_reeb
 from test_reeb import mixed_complexes, small_fixtures
@@ -416,6 +416,61 @@ def test_rp2_is_seen_over_q_not_gf2():
 def test_two_tetrahedra_share_edges_in_three_triangles():
     assert np.bincount(_two_tetrahedra().edge_triangle_count).tolist() \
         == [0, 0, 6, 3]
+
+
+def _assert_same_components(n, a, b):
+    count, labels = components(n, a, b)
+    ref_count, ref_labels = oracles.components(n, a, b)
+    assert type(count) is int and count == ref_count
+    assert labels.dtype == ref_labels.dtype
+    assert np.array_equal(labels, ref_labels)
+
+
+@st.composite
+def multigraphs(draw):
+    """Random multigraphs on at most 30 nodes, with self-loops, repeated
+    edges and isolated nodes, and int32 or int64 ends."""
+    n = draw(st.integers(0, 30))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=60 if n else 0))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    ends = np.asarray(pairs, dtype=dtype).reshape(-1, 2)
+    return n, ends[:, 0], ends[:, 1]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(multigraphs())
+def test_components_match_scipy_on_random_multigraphs(graph):
+    _assert_same_components(*graph)
+
+
+def test_components_match_scipy_without_nodes_or_edges():
+    _assert_same_components(0, [], [])
+    _assert_same_components(3, [], [])
+    _assert_same_components(4, np.zeros(0, np.int32), np.zeros(0, np.int32))
+
+
+def test_components_match_scipy_on_a_permuted_path():
+    order = np.random.default_rng(0).permutation(100_000)
+    _assert_same_components(100_000, order[:-1], order[1:])
+
+
+def test_components_match_scipy_on_a_star_centred_at_the_last_node():
+    # every leaf is offered to the centre's root in one round: a hook that
+    # keeps the last write instead of the least root takes one per round
+    n = 200_000
+    leaves = np.arange(n - 1)
+    _assert_same_components(n, np.full(n - 1, n - 1), leaves)
+    _assert_same_components(n, leaves, np.full(n - 1, n - 1))
+
+
+@pytest.mark.parametrize("a, b", [([3], [0]), ([0], [3]), ([-1], [0]),
+                                  ([1, 0], [2, -1])])
+def test_components_reject_ids_outside_the_nodes(a, b):
+    with pytest.raises(ValueError, match="outside the nodes"):
+        components(3, np.asarray(a), np.asarray(b))
+    with pytest.raises(ValueError):
+        oracles.components(3, np.asarray(a), np.asarray(b))
 
 
 @st.composite
