@@ -143,16 +143,12 @@ def _torus_points(nu, nv, R, r):
 
 
 def _grid_triangles(nu, nv):
-    tris = []
-    for i in range(nu):
-        for j in range(nv):
-            a = _grid_id(i, j, nu, nv)
-            b = _grid_id(i + 1, j, nu, nv)
-            c = _grid_id(i + 1, j + 1, nu, nv)
-            d = _grid_id(i, j + 1, nu, nv)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return tris
+    """The triangles (a, b, c) and (a, c, d) of each grid square abcd, in
+    row-major order of the squares, as an int64 array."""
+    i, j = np.divmod(np.arange(nu * nv, dtype=np.int64), nv)
+    a, b = _grid_id(i, j, nu, nv), _grid_id(i + 1, j, nu, nv)
+    c, d = _grid_id(i + 1, j + 1, nu, nv), _grid_id(i, j + 1, nu, nv)
+    return np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
 
 
 def torus_mesh(nu: int, nv: int, R: float = TORUS_R, r: float = TORUS_r
@@ -167,13 +163,10 @@ def torus_mesh(nu: int, nv: int, R: float = TORUS_R, r: float = TORUS_r
                              coords=_torus_points(nu, nv, R, r), name="torus")
 
 
-def _hex_ring(tris_of, apex, coords):
+def _hex_ring(tris, apex, coords):
     """Neighbors of a grid apex, in cyclic order by azimuth around it."""
-    nb = set()
-    for t in tris_of[apex]:
-        nb.update(t)
-    nb.discard(apex)
-    nb = sorted(nb)
+    nb = np.unique(tris[np.any(tris == apex, axis=1)])
+    nb = nb[nb != apex].tolist()
     ang = [math.atan2(coords[v][1] - coords[apex][1],
                       coords[v][0] - coords[apex][0]) for v in nb]
     return [v for _, v in sorted(zip(ang, nb))]
@@ -197,39 +190,32 @@ def genus_mesh(g: int, nu: int, nv: int, R: float = TORUS_R,
     top_apex = _grid_id(nu // 4, 0, nu, nv)
     bot_apex = _grid_id(3 * nu // 4, 0, nu, nv)
 
-    tris_of = {}
-    for t in base_tris:
-        for v in t:
-            tris_of.setdefault(v, []).append(t)
-    hex_top = _hex_ring(tris_of, top_apex, base_pts)
-    hex_bot = _hex_ring(tris_of, bot_apex, base_pts)
+    hex_top = _hex_ring(base_tris, top_apex, base_pts)
+    hex_bot = _hex_ring(base_tris, bot_apex, base_pts)
 
     coords = []
     tris = []
     remap_of = []
+    start = 0
     for i in range(g):
-        drop = set()
-        if i > 0:
-            drop.add(bot_apex)
-        if i < g - 1:
-            drop.add(top_apex)
-        remap = {}
-        for v in range(nu * nv):
-            if v in drop:
-                continue
-            remap[v] = len(coords)
-            p = base_pts[v].copy()
-            p[2] += i * step
-            coords.append(p)
+        # torus i loses its bottom apex if one lies below it, and its top
+        # apex if one lies above
+        keep = np.ones(nu * nv, dtype=bool)
+        keep[bot_apex] = i == 0
+        keep[top_apex] = i == g - 1
+        remap = start + np.cumsum(keep) - 1
+        pts = base_pts[keep]
+        pts[:, 2] += i * step
+        coords.append(pts)
+        tris.append(remap[base_tris[np.all(keep[base_tris], axis=1)]])
         remap_of.append(remap)
-        for t in base_tris:
-            if drop.intersection(t):
-                continue
-            tris.append(tuple(remap[v] for v in t))
+        start += len(pts)
+    coords = np.concatenate(coords)
 
+    seam = []
     for i in range(g - 1):
-        a = [remap_of[i][v] for v in hex_top]
-        b = [remap_of[i + 1][v] for v in hex_bot]
+        a = remap_of[i][hex_top].tolist()
+        b = remap_of[i + 1][hex_bot].tolist()
         # roll the upper hexagon so paired vertices share an azimuth
         ang_a0 = math.atan2(coords[a[0]][1], coords[a[0]][0])
         angs_b = [math.atan2(coords[v][1], coords[v][0]) for v in b]
@@ -238,10 +224,11 @@ def genus_mesh(g: int, nu: int, nv: int, R: float = TORUS_R,
         b = b[shift:] + b[:shift]
         for k in range(6):
             k1 = (k + 1) % 6
-            tris.append((a[k], b[k], b[k1]))
-            tris.append((a[k], a[k1], b[k1]))
+            seam.append((a[k], b[k], b[k1]))
+            seam.append((a[k], a[k1], b[k1]))
+    tris.append(np.asarray(seam, dtype=np.int64))
 
-    return SimplicialComplex(triangles=tris, coords=np.asarray(coords),
+    return SimplicialComplex(triangles=np.concatenate(tris), coords=coords,
                              name=f"genus{g}")
 
 
@@ -278,8 +265,8 @@ def uv_sphere_mesh(n_lat: int, n_lon: int, radius: float = 1.0
             tris.append((a, d, c))
     for j in range(n_lon):
         tris.append((south, rid(n_lat - 2, j), rid(n_lat - 2, j + 1)))
-    return SimplicialComplex(triangles=tris, coords=np.asarray(coords),
-                             name="sphere")
+    return SimplicialComplex(triangles=np.asarray(tris, dtype=np.int64),
+                             coords=np.asarray(coords), name="sphere")
 
 
 def _stitch_rings(inner, outer):
