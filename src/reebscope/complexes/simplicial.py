@@ -33,9 +33,11 @@ def components(n, a, b):
     take the least root offered, so that a root joined to many others
     (a star's centre) does not take one of them per round.
     """
-    a = np.asarray(a, dtype=np.intp)
-    b = np.asarray(b, dtype=np.intp)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # the edge arrays set a large call's peak memory: the ends are cast to
+    # intp after the min and max, and mapped to their roots one at a time
+    a, b = np.asarray(a), np.asarray(b)
+    lo = np.minimum(a, b).astype(np.intp, copy=False)
+    hi = np.maximum(a, b).astype(np.intp, copy=False)
     if lo.size and not 0 <= lo.min() <= hi.max() < n:
         raise ValueError(f"edge ends {lo.min()}..{hi.max()} outside the "
                          f"nodes 0..{n - 1}")
@@ -44,10 +46,12 @@ def components(n, a, b):
     while True:
         while True:
             up = parent[parent]
-            if np.array_equal(up, parent):
-                break
+            stable = np.array_equal(up, parent)
             parent = up
-        lo, hi = parent[lo], parent[hi]
+            if stable:
+                break
+        lo = parent[lo]
+        hi = parent[hi]
         cross = lo != hi
         if not cross.any():
             break
