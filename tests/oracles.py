@@ -16,7 +16,8 @@ the method the library's dual-graph kernel replaced.  OFF files are read
 from a Python token list of the whole text, converting each token on its
 own, as the library did before it parsed the body with one numpy call.
 Graph components come from scipy's `connected_components`, the call the
-library's union-find replaced.  Run as a script to print the values the tests freeze.
+library's union-find replaced.  Run as a script to print the values the
+tests freeze.
 """
 
 from __future__ import annotations
