@@ -131,15 +131,14 @@ def _grid_id(i, j, nu, nv):
 
 
 def _torus_points(nu, nv, R, r):
-    out = np.zeros((nu * nv, 3))
-    for i in range(nu):
-        u = 2 * math.pi * i / nu
-        for j in range(nv):
-            v = 2 * math.pi * j / nv
-            w = R + r * math.cos(v)
-            out[_grid_id(i, j, nu, nv)] = (w * math.cos(u), r * math.sin(v),
-                                           w * math.sin(u))
-    return out
+    """Grid vertex (i, j) at angles u = 2πi/nu and v = 2πj/nv, in the
+    order of `_grid_id`."""
+    u = (2 * np.pi * np.arange(nu) / nu)[:, None]
+    v = 2 * np.pi * np.arange(nv) / nv
+    w = R + r * np.cos(v)
+    out = np.stack(np.broadcast_arrays(w * np.cos(u), r * np.sin(v),
+                                       w * np.sin(u)), axis=-1)
+    return out.reshape(nu * nv, 3)
 
 
 def _grid_triangles(nu, nv):
@@ -437,6 +436,12 @@ def _mult(x: float, base: int, lo: int) -> int:
     return max(lo, base * round(x / base))
 
 
+def _torus_grid(h: float):
+    """(nu, nv) of the torus and genus grids at target edge length h."""
+    return (_mult(2 * math.pi * (TORUS_R + TORUS_r) / h, 4, 8),
+            _mult(2 * math.pi * TORUS_r / h, 2, 4))
+
+
 def generate_space(name: str, h: float, **params) -> GeneratedSpace:
     """Build the named fixture at target edge length h with its canonical
     field (height for embedded surfaces and graphs, distance-from-vertex on
@@ -449,13 +454,11 @@ def generate_space(name: str, h: float, **params) -> GeneratedSpace:
                             _mult(2 * math.pi / h, 4, 4))
         field = height_field(cx)
     elif name == "torus":
-        cx = torus_mesh(_mult(2 * math.pi * (TORUS_R + TORUS_r) / h, 4, 8),
-                        _mult(2 * math.pi * TORUS_r / h, 2, 4))
+        cx = torus_mesh(*_torus_grid(h))
         field = height_field(cx)
     elif name == "genus":
         g = int(params.pop("g", 2))
-        cx = genus_mesh(g, _mult(2 * math.pi * (TORUS_R + TORUS_r) / h, 4, 8),
-                        _mult(2 * math.pi * TORUS_r / h, 2, 4))
+        cx = genus_mesh(g, *_torus_grid(h))
         field = height_field(cx)
     elif name == "flat_torus":
         cx = flat_torus_mesh(_mult(1.0 / h, 2, 4))

@@ -3,7 +3,9 @@
 All metric quantities in this package (distortion, contour diameters,
 thickness ratios) are measured in the graph metric of the edge skeleton with
 its edge lengths.  Dijkstra is delegated to scipy's csgraph implementation,
-through the one kernel `vertex_distances`.
+through the one kernel `vertex_distances`.  scipy is imported on the first
+Dijkstra call, not with this module, so that a run that measures no
+distance (`reebscope reeb`) never loads it.
 
 Callers that read many rows of one complex ask the distance provider,
 `distance_rows`: `metric.distortion` and `diameter`.  While the all-pairs
@@ -36,7 +38,6 @@ from __future__ import annotations
 import weakref
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
 
 from .simplicial import SimplicialComplex
 
@@ -50,14 +51,18 @@ def vertex_distances(complex: SimplicialComplex, sources=None):
     """Distance matrix from `sources` (default: all vertices) to all vertices.
 
     Returns a (len(sources), V) float array; unreachable pairs are inf.
+    The adjacency holds both directions of every edge, so a directed
+    search gives the undirected distances without scipy building the
+    transpose.
     """
+    from scipy.sparse.csgraph import dijkstra
     graph = complex.adjacency
     if sources is None:
-        return dijkstra(graph, directed=False)
+        return dijkstra(graph, directed=True)
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
         return np.zeros((0, complex.n_vertices))
-    return np.atleast_2d(dijkstra(graph, directed=False, indices=sources))
+    return np.atleast_2d(dijkstra(graph, directed=True, indices=sources))
 
 
 def distance_rows(complex: SimplicialComplex, sources=None):

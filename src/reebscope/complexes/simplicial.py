@@ -21,6 +21,16 @@ class NonGenericLevelError(ValueError):
     """Raised when a level query coincides with a vertex value."""
 
 
+def sorted_unique(a):
+    """`np.unique(a)` of a 1-d array without NaN, by a sort and a
+    neighbour mask: `np.unique` hashes int64 keys, which is slower than a
+    sort, and its first call imports `numpy.ma`."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def components(n, a, b):
     """Connected components of the graph on nodes 0..n-1 with the edges
     a[i]b[i]: their number, and an int32 label per node numbered by least
@@ -160,9 +170,8 @@ class SimplicialComplex:
             if np.any(np.diff(self._keys) == 0):
                 raise ValueError("duplicate edge")
         else:
-            # not np.unique, which hashes int64 keys: slower than a sort
-            keys = np.sort(np.concatenate([given_keys, tri_keys.ravel()]))
-            keys = keys[np.diff(keys, prepend=-1) != 0]
+            keys = sorted_unique(np.concatenate([given_keys,
+                                                 tri_keys.ravel()]))
             self.edges = np.column_stack([keys // n, keys % n])
             d = self.coords[self.edges[:, 0]] - self.coords[self.edges[:, 1]]
             self.lengths = np.linalg.norm(d, axis=1)

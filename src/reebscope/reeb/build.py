@@ -33,7 +33,8 @@ import numpy as np
 
 from ..complexes.contours import (_EDGE_COLUMN, label_level_sets,
                                    link_components)
-from ..complexes.simplicial import ScalarField, SimplicialComplex, components
+from ..complexes.simplicial import (ScalarField, SimplicialComplex,
+                                    components, sorted_unique)
 from .graph import QuotientMap, ReebGraph
 
 
@@ -44,7 +45,7 @@ def _critical_values(complex: SimplicialComplex, g):
     e = complex.edges
     loose = (g[e[:, 0]] == g[e[:, 1]]) | (complex.edge_triangle_count == 0)
     critical[e[loose].ravel()] = True
-    return np.unique(g[critical])
+    return sorted_unique(g[critical])
 
 
 def _level_pieces(complex: SimplicialComplex, g, L):
@@ -138,7 +139,7 @@ def _slab_pieces(complex: SimplicialComplex, g, L, v_piece, n_lp,
     ends = []
     for touch in (below, above):
         hit = np.flatnonzero(touch >= 0)
-        pairs = np.unique(labels[hit] * np.int64(n_lp) + touch[hit])
+        pairs = sorted_unique(labels[hit] * np.int64(n_lp) + touch[hit])
         if not np.array_equal(pairs // n_lp, np.arange(n_slab)):
             raise AssertionError("a slab piece does not touch exactly one "
                                  "level piece below and one above")

@@ -67,7 +67,8 @@ class ReebGraph:
             n = self.n_nodes
             m = csr_matrix((w, (np.concatenate([u, v]),
                                 np.concatenate([v, u]))), shape=(n, n))
-            self._dist = dijkstra(m, directed=False)
+            # m holds both directions of every edge
+            self._dist = dijkstra(m, directed=True)
         return self._dist
 
     def point_ends(self, on_node, target, levels):

@@ -9,6 +9,9 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+# geodesic loads scipy on its first Dijkstra call; thm31, thm52, ex66 and
+# thickness_checks all make one, so pay for the import here, not in a run
+import scipy.sparse.csgraph  # noqa: F401
 
 from .complexes.generators import (distance_field, generate_space,
                                    random_smooth_field)

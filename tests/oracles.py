@@ -16,7 +16,9 @@ the method the library's dual-graph kernel replaced.  OFF files are read
 from a Python token list of the whole text, converting each token on its
 own, as the library did before it parsed the body with one numpy call.
 Graph components come from scipy's `connected_components`, the call the
-library's union-find replaced.  Run as a script to print the values the
+library's union-find replaced.  Torus grid coordinates come from a Python
+double loop with `math.cos` and `math.sin` per vertex, the loop the
+library's array form replaced.  Run as a script to print the values the
 tests freeze.
 """
 
@@ -416,6 +418,22 @@ def components(n, a, b):
     from scipy.sparse.csgraph import connected_components
     graph = coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(n, n))
     return connected_components(graph, directed=False)
+
+
+# ---------------------------------------------------------------- generators
+
+def torus_points(nu, nv, R, r):
+    """Coordinates of the torus grid vertex (i, j), row i * nv + j, one
+    vertex at a time."""
+    out = np.zeros((nu * nv, 3))
+    for i in range(nu):
+        u = 2 * math.pi * i / nu
+        for j in range(nv):
+            v = 2 * math.pi * j / nv
+            w = R + r * math.cos(v)
+            out[i * nv + j] = (w * math.cos(u), r * math.sin(v),
+                               w * math.sin(u))
+    return out
 
 
 # ---------------------------------------------------------------- homology

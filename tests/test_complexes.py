@@ -11,6 +11,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph as csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,17 +28,18 @@ from reebscope.complexes.generators import (circle_mesh, disk_mesh,
                                             three_arc_mesh, torus_mesh,
                                             tripod_field, uv_sphere_mesh,
                                             wedge_circles_mesh)
-from reebscope.complexes import geodesic
-from reebscope.complexes import contours
+from reebscope.complexes import contours, generators, geodesic
 from reebscope.complexes.contours import piece_diameters, sweep_diameters
 from reebscope.complexes.geodesic import (ALL_PAIRS_BUDGET_BYTES, diameter,
                                           distance_rows, single_source,
                                           vertex_distances)
 from reebscope.complexes.levelscan import LevelScan, select_gaps
 from reebscope.complexes.simplicial import (NonGenericLevelError,
-                                            components, link_components)
+                                            components, link_components,
+                                            sorted_unique)
 from reebscope.metric import distortion, max_contour_diameter
-from reebscope.reeb import build_reeb
+from reebscope.reeb import ReebGraph, build_reeb
+from reebscope.suites import thm52_suite
 from test_reeb import mixed_complexes, small_fixtures
 from test_width import _book
 
@@ -812,6 +814,62 @@ def test_provider_rows_of_a_disconnected_complex_hold_inf():
     assert rows[4].tolist() == [math.inf] * 4 + [0.0]
 
 
+def _both_modes(monkeypatch):
+    """Make every scipy Dijkstra call run twice on its matrix, directed as
+    the library asks and undirected, and check that the two results agree
+    bit for bit.  Returns the vertex count of each call's graph."""
+    inner = csgraph.dijkstra
+    sizes = []
+
+    def both(graph, directed=True, indices=None):
+        assert directed
+        got = inner(graph, directed=True, indices=indices)
+        want = inner(graph, directed=False, indices=indices)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        sizes.append(graph.shape[0])
+        return got
+
+    monkeypatch.setattr(csgraph, "dijkstra", both)
+    return sizes
+
+
+def test_directed_dijkstra_equals_undirected_on_the_small_fixtures(
+        monkeypatch):
+    sizes = _both_modes(monkeypatch)
+    pool = small_fixtures()
+    for cx in pool:
+        vertex_distances(cx)
+        vertex_distances(cx, [cx.n_vertices - 1, 0])
+    assert len(sizes) == 2 * len(pool)
+
+
+def test_directed_dijkstra_equals_undirected_on_the_hemisphere(monkeypatch):
+    sizes = _both_modes(monkeypatch)
+    cx = generate_space("hemisphere", 0.02).complex   # ex66's hemisphere
+    sources = np.random.default_rng(5).choice(cx.n_vertices, 40,
+                                              replace=False)
+    small = hemisphere_mesh(12)
+    vertex_distances(cx, sources)
+    vertex_distances(small)
+    assert sizes == [18961, small.n_vertices]
+
+
+def test_directed_dijkstra_equals_undirected_on_the_thm52_graphs(
+        monkeypatch):
+    sizes = _both_modes(monkeypatch)
+    graphs = []
+    inner = ReebGraph.node_distances
+
+    def counted(graph):
+        graphs.append(graph)
+        return inner(graph)
+
+    monkeypatch.setattr(ReebGraph, "node_distances", counted)
+    assert all(r.passed for r in thm52_suite(h=0.4, seed=0))
+    # one Dijkstra call per graph, and the complexes' own
+    assert len({id(g) for g in graphs}) == 20 and len(sizes) > 20
+
+
 def test_provider_runs_dijkstra_per_request_above_the_budget(monkeypatch):
     n = int(math.isqrt(ALL_PAIRS_BUDGET_BYTES // 8)) + 1
     rng = np.random.default_rng(11)
@@ -1150,3 +1208,48 @@ def test_tripod_field_vanishes_on_legs():
         assert on_leg.any()
         assert np.allclose(f[on_leg], 0.0, atol=1e-12)
     assert f.max() <= math.pi / 2 + 1e-12
+
+
+# ------------------------------------------------------------ array kernels
+
+def _tied_floats(rng, n):
+    return np.round(rng.normal(0.0, 1.0, n), 1)
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros(0), np.zeros(0, dtype=np.int64), np.array([2.5]),
+    np.array([7], dtype=np.int64), np.array([0.0, -0.0, 1.0]),
+    np.array([-0.0, 0.0, 1.0]), np.array([1.0, 0.0, -0.0, -0.0, 0.0]),
+    np.array([-0.0, -0.0]), _tied_floats(np.random.default_rng(1), 500),
+    np.random.default_rng(2).integers(-2 ** 62, 2 ** 62, 1000),
+    np.random.default_rng(3).integers(0, 40, 1000),
+], ids=lambda a: f"{a.dtype}-{a.size}")
+def test_sorted_unique_equals_np_unique_bit_for_bit(a):
+    want, got = np.unique(a), sorted_unique(a)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_sorted_unique_keeps_np_uniques_zero_among_signed_zeros():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        a = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], size=rng.integers(1, 40))
+        a = np.concatenate([a, _tied_floats(rng, rng.integers(0, 20))])
+        want, got = np.unique(a), sorted_unique(a)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_torus_points_equal_the_per_vertex_loop():
+    # the grids generate_space builds at the suites' and the benchmark's h,
+    # and the sizes the tests build directly
+    sizes = {generators._torus_grid(h)
+             for h in (0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5)}
+    assert len(sizes) == 7
+    for nu, nv in sizes | {(8, 4), (8, 6), (12, 6), (16, 6), (16, 8),
+                           (24, 12), (40, 20)}:
+        for R, r in ((generators.TORUS_R, generators.TORUS_r), (2.0, 0.5)):
+            got = generators._torus_points(nu, nv, R, r)
+            assert np.array_equal(got, oracles.torus_points(nu, nv, R, r)), \
+                (nu, nv, R, r)
