@@ -51,11 +51,9 @@ def vertex_distances(complex: SimplicialComplex, sources=None):
     """Distance matrix from `sources` (default: all vertices) to all vertices.
 
     Returns a (len(sources), V) float array; unreachable pairs are inf.
-    The adjacency holds both directions of every edge, so a directed
-    search gives the undirected distances without scipy building the
-    transpose.
     """
     from scipy.sparse.csgraph import dijkstra
+    # it holds both directions of every edge, so scipy needs no transpose
     graph = complex.adjacency
     if sources is None:
         return dijkstra(graph, directed=True)

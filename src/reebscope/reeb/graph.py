@@ -67,7 +67,7 @@ class ReebGraph:
             n = self.n_nodes
             m = csr_matrix((w, (np.concatenate([u, v]),
                                 np.concatenate([v, u]))), shape=(n, n))
-            # m holds both directions of every edge
+            # m holds both directions of every edge: no transpose needed
             self._dist = dijkstra(m, directed=True)
         return self._dist
 

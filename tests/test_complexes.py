@@ -1216,6 +1216,11 @@ def _tied_floats(rng, n):
     return np.round(rng.normal(0.0, 1.0, n), 1)
 
 
+def _check_sorted_unique(a):
+    want, got = np.unique(a), sorted_unique(a)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("a", [
     np.zeros(0), np.zeros(0, dtype=np.int64), np.array([2.5]),
     np.array([7], dtype=np.int64), np.array([0.0, -0.0, 1.0]),
@@ -1225,20 +1230,15 @@ def _tied_floats(rng, n):
     np.random.default_rng(3).integers(0, 40, 1000),
 ], ids=lambda a: f"{a.dtype}-{a.size}")
 def test_sorted_unique_equals_np_unique_bit_for_bit(a):
-    want, got = np.unique(a), sorted_unique(a)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    _check_sorted_unique(a)
 
 
 def test_sorted_unique_keeps_np_uniques_zero_among_signed_zeros():
     rng = np.random.default_rng(31)
     for _ in range(300):
         a = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], size=rng.integers(1, 40))
-        a = np.concatenate([a, _tied_floats(rng, rng.integers(0, 20))])
-        want, got = np.unique(a), sorted_unique(a)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        _check_sorted_unique(
+            np.concatenate([a, _tied_floats(rng, rng.integers(0, 20))]))
 
 
 def test_torus_points_equal_the_per_vertex_loop():
