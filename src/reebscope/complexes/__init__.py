@@ -2,7 +2,7 @@ from .simplicial import (NonGenericLevelError, ScalarField, SimplicialComplex,
                          analytic_field, height_field)
 from .homology import betti_numbers, euler_characteristic
 from .geodesic import diameter, single_source, vertex_distances
-from .contours import Contour, contours_at
+from .contours import Contour, ContourSet, contours_at
 from .levelscan import GapView, LevelScan, select_gaps
 from .generators import (GeneratedSpace, circle_mesh, disk_mesh,
                          distance_field, flat_torus_mesh, generate_space,
@@ -13,7 +13,7 @@ from .generators import (GeneratedSpace, circle_mesh, disk_mesh,
 from .io import load_complex, load_field, save_complex, save_field
 
 __all__ = [
-    "Contour", "GapView", "GeneratedSpace", "LevelScan",
+    "Contour", "ContourSet", "GapView", "GeneratedSpace", "LevelScan",
     "NonGenericLevelError", "ScalarField", "SimplicialComplex",
     "analytic_field", "betti_numbers", "circle_mesh", "contours_at",
     "diameter",

@@ -49,6 +49,41 @@ class Contour:
         return float(np.linalg.norm(p[seg[:, 0]] - p[seg[:, 1]], axis=1).sum())
 
 
+@dataclass(frozen=True, eq=False)
+class ContourSet:
+    """The contours of one generic level, as views of a labelled batch:
+    contour after contour, `sizes[c]` aligned crossings `edge_ids` /
+    `params` by edge id, and `join_sizes[c]` pairs of crossing indices
+    `joins` joined inside a triangle, by triangle id.  `len()` counts the
+    contours; iterating builds one Contour each."""
+    level: float
+    edge_ids: np.ndarray
+    params: np.ndarray
+    sizes: np.ndarray
+    joins: np.ndarray
+    join_sizes: np.ndarray
+
+    def __len__(self):
+        return self.sizes.size
+
+    def __iter__(self):
+        bounds = np.cumsum(self.sizes) - self.sizes
+        jb = np.cumsum(self.join_sizes) - self.join_sizes
+        for lo, n, j, m in zip(bounds, self.sizes, jb, self.join_sizes):
+            yield Contour(self.level, self.edge_ids[lo:lo + n],
+                          self.params[lo:lo + n],
+                          np.sort(self.joins[j:j + m] - lo, axis=1))
+
+
+def contour_arrays(sets):
+    """The crossings of contour sets laid end to end: (edge_ids, params,
+    bounds), contour c owning `bounds[c]:bounds[c + 1]`."""
+    sizes = np.concatenate([s.sizes for s in sets])
+    return (np.concatenate([s.edge_ids for s in sets]),
+            np.concatenate([s.params for s in sets]),
+            np.concatenate([[0], np.cumsum(sizes)]))
+
+
 @dataclass(frozen=True)
 class LevelPieces:
     """Pieces of the level sets at a sorted batch of levels.
@@ -68,11 +103,6 @@ class LevelPieces:
     piece_level: np.ndarray
     joins: np.ndarray
     join_bounds: np.ndarray
-
-    def pieces_at(self, k: int) -> range:
-        """Indices of the pieces at level `levels[k]`."""
-        lo, hi = np.searchsorted(self.piece_level, [k, k + 1])
-        return range(int(lo), int(hi))
 
 
 # Callers label batches of levels holding about this many crossings.  A
@@ -201,20 +231,26 @@ def batch_end(before, start: int) -> int:
     return max(start + 1, int(end))
 
 
-def level_contours(complex: SimplicialComplex, g, pieces: LevelPieces,
-                   k: int, level: float):
-    """The contours of the pieces at `levels[k]`, a generic level, with
-    their crossings placed at `level`, any level of the same value gap."""
-    out = []
-    for p in pieces.pieces_at(k):
-        lo, hi = pieces.bounds[p], pieces.bounds[p + 1]
-        ids = pieces.items[lo:hi]
-        ga, gb = g[complex.edges[ids, 0]], g[complex.edges[ids, 1]]
-        segs = pieces.joins[pieces.join_bounds[p]:pieces.join_bounds[p + 1]]
-        out.append(Contour(level=float(level), edge_ids=ids,
-                           params=(level - ga) / (gb - ga),
-                           segments=np.sort(segs - lo, axis=1)))
-    return out
+def level_contours(complex: SimplicialComplex, g,
+                   pieces: LevelPieces) -> list:
+    """One ContourSet per level of `pieces`, all generic levels, as views
+    of arrays made once for the batch: the params of every crossing, and
+    the joins counted from the first crossing of their level."""
+    ids, bounds, jb = pieces.items, pieces.bounds, pieces.join_bounds
+    sizes = np.diff(bounds)
+    level = np.repeat(pieces.levels[pieces.piece_level], sizes)
+    ga, gb = g[complex.edges[ids, 0]], g[complex.edges[ids, 1]]
+    params = (level - ga) / (gb - ga)
+    first = np.searchsorted(pieces.piece_level,
+                            np.arange(pieces.levels.size + 1))
+    join_sizes = np.diff(jb)
+    joins = pieces.joins - np.repeat(
+        bounds[first[pieces.piece_level]], join_sizes)[:, None]
+    p, c, j = first.tolist(), bounds[first].tolist(), jb[first].tolist()
+    return [ContourSet(lv, ids[c[k]:c[k + 1]], params[c[k]:c[k + 1]],
+                       sizes[p[k]:p[k + 1]], joins[j[k]:j[k + 1]],
+                       join_sizes[p[k]:p[k + 1]])
+            for k, lv in enumerate(pieces.levels.tolist())]
 
 
 def contours_at(complex: SimplicialComplex, field: ScalarField, level: float):
@@ -224,8 +260,8 @@ def contours_at(complex: SimplicialComplex, field: ScalarField, level: float):
         raise ValueError("field does not match complex")
     if np.any(g == level):
         raise NonGenericLevelError(f"level {level!r} hits a vertex value")
-    return level_contours(complex, g, label_level_sets(complex, g, [level]),
-                          0, level)
+    return list(level_contours(complex, g,
+                               label_level_sets(complex, g, [level]))[0])
 
 
 def crossing_points(complex: SimplicialComplex, edge_ids, params):
@@ -237,18 +273,12 @@ def crossing_points(complex: SimplicialComplex, edge_ids, params):
     return a + params[:, None] * (b - a)
 
 
-def crossing_geometry(complex: SimplicialComplex, edge_ids, params):
-    """Per crossing at `params` along `edge_ids`: the ends of its edge, and
-    its distances along the edge to the lower-id end and to the other."""
-    ends = complex.edges[edge_ids]
-    lens = complex.lengths[edge_ids]
-    return ends, params * lens, (1.0 - params) * lens
-
-
-def sweep_diameters(complex: SimplicialComplex, contours,
+def sweep_diameters(complex: SimplicialComplex, edge_ids, params, bounds,
                     hops: int = 8) -> np.ndarray:
     """Intrinsic diameter of each contour, estimated from below by the
     farthest-point sweep, with the hops of all contours run together.
+    Contour c owns the crossings `bounds[c]:bounds[c + 1]` of the aligned
+    `edge_ids` and `params`, which the contours fill from `bounds[0]` = 0.
 
     A contour starts at the crossing farthest from its centroid, or at its
     first crossing without coordinates.  Each hop moves every contour still
@@ -257,14 +287,16 @@ def sweep_diameters(complex: SimplicialComplex, contours,
     makes one `pair_distances` call for the whole batch.  Contours of one
     crossing or none measure 0.
     """
-    sizes = np.array([len(c) for c in contours], dtype=np.int64)
+    sizes = np.diff(bounds)
     out = np.zeros(sizes.size)
-    live = np.flatnonzero(sizes > 1)
-    if live.size == 0:
+    live = sizes > 1
+    if not live.any():
         return out
-    edge_ids = np.concatenate([contours[i].edge_ids for i in live])
-    params = np.concatenate([contours[i].params for i in live])
-    ends, off_lo, off_hi = crossing_geometry(complex, edge_ids, params)
+    keep = np.repeat(live, sizes)
+    edge_ids, params = edge_ids[keep], params[keep]
+    # each crossing's edge ends, and its distances along the edge to them
+    ends, lens = complex.edges[edge_ids], complex.lengths[edge_ids]
+    off_lo, off_hi = params * lens, (1.0 - params) * lens
     sizes = sizes[live]
     starts = np.cumsum(sizes) - sizes
     cur = (starts.copy() if complex.coords is None else
@@ -297,11 +329,23 @@ def _farthest_from_centroid(complex, edge_ids, params, sizes, starts):
     """Per contour of the batch, the index of its crossing point farthest
     from the contour's centroid."""
     pts = crossing_points(complex, edge_ids, params)
-    # np.add.reduceat would sum in another order than a contour's own mean;
-    # equal sizes share one (contours, size, 3) mean instead
-    for n in np.unique(sizes).tolist():
-        at = starts[sizes == n, None] + np.arange(n)
-        pts[at] -= pts[at].mean(axis=1, keepdims=True)
+    # a contour's own mean sums its points in order, and so does a sum over
+    # its points followed by zeros, where np.add.reduceat would not.  Each
+    # contour is padded to the next power of two, at most twice its points,
+    # and each size class is summed as one (contours, width, 3) block.
+    width = np.int64(1) << np.frexp(sizes - 1)[1]
+    order = np.argsort(width, kind="stable")
+    slot = np.empty_like(width)
+    slot[order] = np.cumsum(width[order]) - width[order]
+    seg = np.repeat(np.arange(sizes.size), sizes)
+    padded = np.zeros((int(width.sum()), 3))
+    padded[slot[seg] + np.arange(seg.size) - starts[seg]] = pts
+    w, k = np.unique(width, return_counts=True)
+    sums = [block.reshape(-1, n, 3).sum(axis=1) for block, n in
+            zip(np.split(padded, np.cumsum(w * k)[:-1]), w.tolist())]
+    centroid = np.empty((sizes.size, 3))
+    centroid[order] = np.concatenate(sums) / sizes[order, None]
+    pts -= centroid[seg]
     return _segment_argmax(np.einsum("ij,ij->i", pts, pts), starts)[1]
 
 
@@ -319,16 +363,12 @@ def _segment_argmax(x, starts):
 _PAIR_CHUNK = 1 << 16
 
 
-def extrinsic_diameters(complex: SimplicialComplex, contours) -> np.ndarray:
+def extrinsic_diameters(complex: SimplicialComplex, edge_ids, params,
+                        bounds) -> np.ndarray:
     """Largest Euclidean distance between two crossing points of each
-    contour, by one `piece_diameters` call."""
-    sizes = [len(c) for c in contours]
-    if sum(sizes) == 0:
-        return np.zeros(len(sizes))
-    pts = crossing_points(complex,
-                          np.concatenate([c.edge_ids for c in contours]),
-                          np.concatenate([c.params for c in contours]))
-    return piece_diameters(pts, np.concatenate([[0], np.cumsum(sizes)]))
+    contour, laid out as in `sweep_diameters`, by one `piece_diameters`
+    call."""
+    return piece_diameters(crossing_points(complex, edge_ids, params), bounds)
 
 
 def piece_diameters(pts, bounds) -> np.ndarray:

@@ -3,9 +3,11 @@
 Between two consecutive distinct vertex values the level set is
 combinatorially constant, so one pass over the gaps that carry level sets
 visits every combinatorial contour exactly once; `LevelScan.sample` picks
-among those gaps.  The scan labels the contours of the gaps ahead in
-batches, at the gap midpoints, and a GapView places them at any level of
-its gap.  Views stay valid for the life of the scan.
+among those gaps.  The scan labels the gaps it will read in batches, at
+the gap midpoints: every gap ahead for `gaps`, only the chosen ones for
+`sample`.  Each batch becomes arrays once, and a GapView hands out its
+gap's slice of them as a `ContourSet`.  Views stay valid for the life of
+the scan.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .contours import (batch_end, crossing_counts, label_level_sets,
 
 
 class GapView:
-    """Read-only window onto one value gap of a LevelScan."""
+    """Read-only window onto one value gap of a LevelScan.  `contours()`
+    returns the ContourSet of the gap's midpoint level."""
 
     __slots__ = ("_scan", "_gap", "lo", "hi")
 
@@ -29,16 +32,11 @@ class GapView:
         self.hi = hi
 
     @property
-    def level(self):
-        return 0.5 * (self.lo + self.hi)
-
-    @property
     def n_crossings(self):
         return int(self._scan._n_crossings[self._gap])
 
-    def contours(self, level=None):
-        return self._scan._contours(self._gap,
-                                    self.level if level is None else level)
+    def contours(self):
+        return self._scan._contours(self._gap)
 
 
 class LevelScan:
@@ -51,36 +49,40 @@ class LevelScan:
         self._vals = vals = np.unique(g)
         self._mids = 0.5 * (vals[:-1] + vals[1:])
         self._n_crossings = crossing_counts(complex, g, self._mids)
-        self._crossings_before = np.concatenate(
-            [[0], np.cumsum(self._n_crossings)])
-        self._batch = (0, 0, None)
+        # batches are labelled among the gaps planned to be read
+        self._live = self._plan = np.flatnonzero(self._n_crossings)
+        self._batch = {}
 
     def gaps(self):
         """Yield a GapView for every gap between consecutive distinct
         vertex values that carries a nonempty level set."""
         vals = self._vals
-        for j in np.flatnonzero(self._n_crossings).tolist():
+        for j in self._live.tolist():
             yield GapView(self, j, float(vals[j]), float(vals[j + 1]))
 
     def sample(self, first: int, spread: int):
         """Yield the views of the gaps `select_gaps` picks, counting
         positions among the gaps that carry a level set."""
-        chosen = select_gaps(int(np.count_nonzero(self._n_crossings)),
-                             first, spread)
+        chosen = select_gaps(self._live.size, first, spread)
+        self._plan = self._live[sorted(chosen)]
         for seq, gap in enumerate(self.gaps()):
             if seq in chosen:
                 yield gap
 
-    def _contours(self, gap, level):
-        start, stop, pieces = self._batch
-        if not start <= gap < stop:
-            # label the gaps ahead too: a consumer reading every gap then
-            # shares each call among many
-            start, stop = gap, batch_end(self._crossings_before, gap)
-            pieces = label_level_sets(self.complex, self.g,
-                                      self._mids[start:stop])
-            self._batch = (start, stop, pieces)
-        return level_contours(self.complex, self.g, pieces, gap - start, level)
+    def _contours(self, gap):
+        if gap not in self._batch:
+            if gap not in self._plan:
+                # a gap off the sample's plan: plan every gap again
+                self._plan = self._live
+            # label the planned gaps ahead too: a consumer reading them
+            # then shares each call among many
+            ahead = self._plan[np.searchsorted(self._plan, gap):]
+            batch = ahead[:batch_end(np.cumsum(np.append(
+                0, self._n_crossings[ahead])), 0)]
+            pieces = label_level_sets(self.complex, self.g, self._mids[batch])
+            self._batch = dict(zip(batch.tolist(), level_contours(
+                self.complex, self.g, pieces)))
+        return self._batch[gap]
 
 
 def select_gaps(n_gaps: int, first: int, spread: int):

@@ -16,15 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes.contours import _BATCH_CROSSINGS, sweep_diameters
+from .complexes.contours import (_BATCH_CROSSINGS, contour_arrays,
+                                 sweep_diameters)
 from .complexes.geodesic import distance_rows
 from .complexes.levelscan import LevelScan
 from .complexes.simplicial import ScalarField, SimplicialComplex
 from .reeb.graph import QuotientMap, ReebGraph
 
-# Contours reach the sweep kernel in lists of about this many crossings.
-# Half a level-scan batch keeps the peak memory of the thm52 suite at that
-# of a per-contour sweep; a whole batch raised it by about 1 MB.
+# Contours reach the sweep kernel in arrays of about this many crossings,
+# laid end to end from the contour sets of many levels.  Half a level-scan
+# batch keeps the peak memory of the thm52 suite at that of a per-contour
+# sweep; a whole batch raised it by about 1 MB.
 _SWEEP_CROSSINGS = _BATCH_CROSSINGS // 2
 
 # Vertex rows that `distortion` compares at once: each end-pair plane it
@@ -101,13 +103,10 @@ class MorseBoundParams:
 
 
 def distortion(complex: SimplicialComplex, field: ScalarField,
-               reeb: ReebGraph, qmap: QuotientMap, pairs="all",
-               seed: int | None = None) -> float:
-    """max |d_X(x, y) - d_R(phi x, phi y)| over vertex pairs.
+               reeb: ReebGraph, qmap: QuotientMap) -> float:
+    """max |d_X(x, y) - d_R(phi x, phi y)| over all vertex pairs.
 
-    `pairs` is either "all" or an integer count of uniformly sampled pairs
-    (deterministic given `seed`).  Restricting to vertices makes this a
-    lower bound on the true supremum.
+    Restricting to vertices makes this a lower bound on the true supremum.
     """
     if complex.n_components != 1:
         raise ValueError("distortion needs a connected complex")
@@ -117,30 +116,18 @@ def distortion(complex: SimplicialComplex, field: ScalarField,
     points = reeb.point_ends(qmap.on_node, qmap.target, qmap.levels)
 
     best = 0.0
-    if pairs == "all":
-        all_cols = np.arange(n)
-        for start in range(0, n, _DISTORTION_ROWS):
-            rows = np.arange(start, min(start + _DISTORTION_ROWS, n))
-            dx = distance_rows(complex, rows)
-            dr = reeb.point_distances(points, rows[:, None], all_cols)
-            best = max(best, float(np.abs(dx - dr).max()))
-        return best
-
-    k = int(pairs)
-    if k <= 0:
-        raise ValueError("pair sample count must be positive")
-    rng = np.random.default_rng(seed)
-    left = rng.integers(0, n, size=k)
-    right = rng.integers(0, n, size=k)
-    srcs, row_of = np.unique(left, return_inverse=True)
-    dx = distance_rows(complex, srcs)[row_of, right]
-    dr = reeb.point_distances(points, left, right)
-    return float(np.abs(dx - dr).max())
+    all_cols = np.arange(n)
+    for start in range(0, n, _DISTORTION_ROWS):
+        rows = np.arange(start, min(start + _DISTORTION_ROWS, n))
+        dx = distance_rows(complex, rows)
+        dr = reeb.point_distances(points, rows[:, None], all_cols)
+        best = max(best, float(np.abs(dx - dr).max()))
+    return best
 
 
 def _level_samples(complex, field, max_levels):
-    """Yield the contours at the chosen levels of the sweep, in lists of
-    about _SWEEP_CROSSINGS crossings, so one kernel call measures many."""
+    """Yield the contour sets of the chosen levels of the sweep, in lists
+    of about _SWEEP_CROSSINGS crossings, so one kernel call measures many."""
     scan = LevelScan(complex, field)
     gaps = scan.gaps()
     if max_levels is not None:
@@ -149,7 +136,7 @@ def _level_samples(complex, field, max_levels):
     batch = []
     held = 0
     for gap in gaps:
-        batch.extend(gap.contours())
+        batch.append(gap.contours())
         held += gap.n_crossings
         if held >= _SWEEP_CROSSINGS:
             yield batch
@@ -169,8 +156,9 @@ def max_contour_diameter(complex: SimplicialComplex, field: ScalarField,
     `contours.sweep_diameters` over the contours of many levels at once.
     """
     best = 0.0
-    for conts in _level_samples(complex, field, max_levels):
-        best = max(best, float(np.max(sweep_diameters(complex, conts))))
+    for sets in _level_samples(complex, field, max_levels):
+        best = max(best, float(np.max(sweep_diameters(
+            complex, *contour_arrays(sets)))))
     return best
 
 
@@ -190,12 +178,13 @@ def thickness(complex: SimplicialComplex, field: ScalarField,
         raise ValueError("contour lengths need embedded coordinates")
     best = math.inf
     skipped = 0
-    for conts in _level_samples(complex, field, max_levels):
-        for c, diam in zip(conts, sweep_diameters(complex, conts)):
+    for sets in _level_samples(complex, field, max_levels):
+        diams = sweep_diameters(complex, *contour_arrays(sets))
+        for c, diam in zip((c for s in sets for c in s), diams.tolist()):
             if diam <= 0.0:
                 skipped += 1
                 continue
-            best = min(best, c.length(complex) / float(diam))
+            best = min(best, c.length(complex) / diam)
     if skipped:
         warnings.warn(f"excluded {skipped} degenerate point contour(s) "
                       "from the thickness infimum")

@@ -99,7 +99,7 @@ def thm52_suite(h=None, seed=0, tol=None):
         for i, src in enumerate(_random_sources(space, 5, seed, label)):
             f = distance_field(space.complex, src)
             graph, qmap = build_reeb(space.complex, f)
-            dis = distortion(space.complex, f, graph, qmap, pairs="all")
+            dis = distortion(space.complex, f, graph, qmap)
             D = max_contour_diameter(space.complex, f, max_levels=400)
             rhs, _ = distance_function_bound(space.b1_prime, D)
             out.append(BoundReport.check(

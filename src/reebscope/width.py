@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes.contours import (batch_end, crossing_counts,
+from .complexes.contours import (batch_end, contour_arrays, crossing_counts,
                                  crossing_points, extrinsic_diameters,
                                  label_level_sets, link_components,
                                  piece_diameters, sweep_diameters)
@@ -317,15 +317,15 @@ def _unit_sphere_arc(extrinsic: float) -> float:
     return 2.0 * math.asin(min(1.0, max(0.0, extrinsic / 2.0)))
 
 
-def _swept_max(complex, gaps, target=math.inf):
-    """Largest farthest-point sweep diameter over the contours of `gaps`,
-    in their order, with one kernel call per gap; stops once `target` is
+def _swept_max(complex, sets, target=math.inf):
+    """Largest farthest-point sweep diameter over the contour sets `sets`,
+    in their order, with one kernel call per set; stops once `target` is
     reached."""
     best = 0.0
-    for gap in gaps:
-        if gap.n_crossings >= 2:
-            best = max(best, float(sweep_diameters(complex,
-                                                   gap.contours()).max()))
+    for c in sets:
+        if c.edge_ids.size >= 2:
+            best = max(best, float(sweep_diameters(
+                complex, *contour_arrays([c])).max()))
             if best >= target:
                 break
     return best
@@ -336,24 +336,26 @@ def _max_contour_diam_certified(complex, field, target, first, spread):
 
     First pass converts extrinsic crossing-point diameters to great-circle
     arcs (valid on the unit sphere) and stops once `target` is cleared; if
-    that fails, the most promising levels get the full sweep treatment.
+    that fails, the most promising levels get the full sweep treatment,
+    on the contour sets the first pass read.
     """
     best = 0.0
     candidates = []
     for gap in LevelScan(complex, field).sample(first, spread):
         if gap.n_crossings < 2:
             continue
-        level_best = _unit_sphere_arc(float(
-            extrinsic_diameters(complex, gap.contours()).max()))
+        c = gap.contours()
+        level_best = _unit_sphere_arc(float(extrinsic_diameters(
+            complex, *contour_arrays([c])).max()))
         best = max(best, level_best)
         if best >= target:
             return best
-        candidates.append((level_best, len(candidates), gap))
+        candidates.append((level_best, len(candidates), c))
 
     # extrinsic folding may hide a long contour; re-examine the top levels,
     # in value order
     top = sorted(candidates, key=lambda c: c[:2], reverse=True)[:10]
-    retry = [gap for _, _, gap in sorted(top, key=lambda c: c[1])]
+    retry = [c for _, _, c in sorted(top, key=lambda c: c[1])]
     return max(best, _swept_max(complex, retry, target))
 
 
@@ -405,8 +407,8 @@ def hemisphere_width_verify(h: float = 0.02, tol: float = 0.08,
 
     per_field = {}
     tripod = tripod_field(mesh)
-    per_field["tripod"] = _swept_max(mesh,
-                                     LevelScan(mesh, tripod).sample(40, 40))
+    per_field["tripod"] = _swept_max(mesh, (
+        gap.contours() for gap in LevelScan(mesh, tripod).sample(40, 40)))
     height = ScalarField(np.arccos(np.clip(mesh.coords[:, 2], -1.0, 1.0)))
     per_field["height"] = _max_contour_diam_certified(
         mesh, height, target, first=60, spread=120)

@@ -300,7 +300,7 @@ def disk_contour_verify(complex, field, tol=0.05, early_stop=True):
     pts, onb = _piece_points(complex, g, pieces)
     best_level, best_b, best_i = None, 0.0, 0.0
     for k, c in enumerate(levels):
-        for p in pieces.pieces_at(k):
+        for p in np.flatnonzero(pieces.piece_level == k):
             lo, hi = pieces.bounds[p], pieces.bounds[p + 1]
             if hi - lo >= 2:
                 best_i = max(best_i, float(pdist(pts[lo:hi]).max()))

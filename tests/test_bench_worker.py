@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
@@ -55,6 +57,27 @@ def test_reeb_mesh_round_passes_its_checks_and_is_reproducible(tmp_path):
             assert doc["attempted"] == 1 and doc["failed"] == 0
             digests.append(doc["digest"])
         assert digests[0] == digests[1], k
+
+
+@pytest.mark.parametrize("k", [10, 11, 14, 15])
+def test_reeb_mesh_round_on_the_fields_of_run_seeds_5_and_7(tmp_path, k):
+    # run.py's seed s builds fields 2s and 2s + 1
+    inputs = _load("inputs")
+    coords, triangles = inputs.genus3_mesh()
+    mesh, field = tmp_path / "genus3.off", tmp_path / f"field-{k}.txt"
+    inputs.write_off(mesh, coords, triangles)
+    inputs.write_field(field, inputs.random_field(coords, k))
+    doc = _round(["reeb-mesh", k, 0, mesh, field, tmp_path / f"graph-{k}"])
+    assert doc["errors"] == []
+    assert doc["attempted"] == 1 and doc["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", ["thm62", "thm52"])
+def test_suite_round_at_the_first_seed_of_run_seed_7(tmp_path, workload):
+    # run.py's seed s runs the suite seeds 4s to 4s + 3
+    doc = _round([workload, 28, 0, "-", "-", tmp_path / workload])
+    assert doc["errors"] == []
+    assert doc["attempted"] > 0 and doc["failed"] == 0
 
 
 def test_thm62_round_passes_its_checks(tmp_path):

@@ -550,7 +550,7 @@ def test_torus_top_contour_intrinsic_diameter_frozen():
     assert oracles.intrinsic_diameter(cx, cont) == pytest.approx(d,
                                                                  rel=1e-12)
     # the farthest-point sweep estimates it from below
-    sweep = sweep_diameters(cx, [cont])[0]
+    sweep = sweep_diameters(cx, *_arrays([cont]))[0]
     assert 0.9 * d <= sweep <= d + 1e-12
 
 
@@ -558,9 +558,20 @@ def test_extrinsic_diameter_of_top_circle():
     # the level-1.03 contour hugs a horizontal mesh circle of radius < R+r
     cx = torus_mesh(24, 12)
     (cont,) = contours_at(cx, height_field(cx), 1.03)
-    d = contours.extrinsic_diameters(cx, [cont])[0]
+    d = contours.extrinsic_diameters(cx, *_arrays([cont]))[0]
     assert 2 * 0.6 < d < 2 * 1.4
     assert d == _pdist_max(cont.points(cx))
+
+
+def _arrays(conts):
+    """Contours laid end to end, as the diameter kernels take them:
+    (edge_ids, params, bounds)."""
+    bounds = np.concatenate([[0], np.cumsum([len(c) for c in conts],
+                                            dtype=np.int64)])
+    return (np.concatenate([c.edge_ids for c in conts]
+                           + [np.empty(0, np.int64)]),
+            np.concatenate([c.params for c in conts] + [np.empty(0)]),
+            bounds)
 
 
 def _pdist_max(pts):
@@ -683,7 +694,7 @@ def test_gap_levels_lie_inside():
     cx = circle_mesh(12)
     f = height_field(cx, axis=1)
     for gap in LevelScan(cx, f).gaps():
-        assert gap.lo < gap.level < gap.hi
+        assert gap.lo < gap.contours().level < gap.hi
 
 
 def test_gap_contours_match_direct_call():
@@ -693,9 +704,9 @@ def test_gap_contours_match_direct_call():
     for values in (z, np.floor(3.0 * x) + np.floor(2.0 * z)):
         f = ScalarField(values)
         for gap in LevelScan(cx, f).gaps():
-            level = gap.level
-            comps = oracles.contour_components(cx, f.values, level)
-            via = gap.contours(level)
+            via = gap.contours()
+            assert via.level == 0.5 * (gap.lo + gap.hi)
+            comps = oracles.contour_components(cx, f.values, via.level)
             assert sorted(sorted(c.edge_ids.tolist()) for c in via) \
                 == sorted(sorted(c) for c in comps)
 
@@ -902,7 +913,7 @@ def test_distortion_and_contour_diameter_share_one_dijkstra_call(
         return inner(complex, sources)
 
     monkeypatch.setattr(geodesic, "vertex_distances", counted)
-    assert distortion(cx, f, graph, qmap, pairs="all") > 0.0
+    assert distortion(cx, f, graph, qmap) > 0.0
     assert max_contour_diameter(cx, f) > 0.0
     assert len(calls) == 1 and calls[0] is None
 
@@ -917,7 +928,8 @@ def _check_sweep(cx, conts, hops=8):
     """The batched sweep equals the per-contour reference bit for bit;
     returns the most hops the reference ran on one contour."""
     want = [oracles.sweep_diameter(cx, c, hops) for c in conts]
-    assert sweep_diameters(cx, conts, hops).tolist() == [d for d, _ in want]
+    assert sweep_diameters(cx, *_arrays(conts), hops).tolist() \
+        == [d for d, _ in want]
     return max([ran for _, ran in want], default=0)
 
 
@@ -961,10 +973,10 @@ def test_sweep_on_contours_of_one_and_two_crossings():
         return Contour(big.level, big.edge_ids[at], big.params[at])
 
     one, two, apart = part([0]), part([0, 1]), part([0, len(big) // 2])
-    assert sweep_diameters(cx, []).shape == (0,)
-    assert sweep_diameters(cx, [one]).tolist() == [0.0]
+    assert sweep_diameters(cx, *_arrays([])).shape == (0,)
+    assert sweep_diameters(cx, *_arrays([one])).tolist() == [0.0]
     _check_sweep(cx, [one, two, big, one, apart])
-    assert sweep_diameters(cx, [apart])[0] > 0.0
+    assert sweep_diameters(cx, *_arrays([apart]))[0] > 0.0
 
 
 def test_sweep_above_the_budget_runs_one_dijkstra_call_per_hop(
@@ -987,6 +999,64 @@ def test_sweep_above_the_budget_splits_a_hop_at_the_budget(monkeypatch):
     calls = _counted_dijkstra(monkeypatch)
     hops = _check_sweep(cx, conts)
     assert len(calls) > hops and max(calls) == 3
+
+
+def _mixed_batch(seed):
+    """Contours of mixed sizes, hundreds of 2-crossing ones around one of
+    3,000, each a regular polygon far from the origin: every crossing of
+    a contour lies about as far from its centroid, so the start the sweep
+    picks turns on the last bits of the centroid.  Crossing c sits at
+    vertex c, the lower end of edge c of a path."""
+    rng = np.random.default_rng(seed)
+    sizes = np.concatenate([np.full(300, 2), [3000],
+                            rng.integers(3, 40, 300)])
+    rng.shuffle(sizes)
+    pts = []
+    for n in sizes.tolist():
+        turn = 2.0 * np.pi * (np.arange(n) / n + rng.random())
+        pts.append(100.0 * rng.normal(size=3) + rng.uniform(0.5, 2.0)
+                   * np.column_stack([np.cos(turn), np.sin(turn),
+                                      np.zeros(n)]))
+    pts = np.concatenate(pts)
+    n = pts.shape[0]
+    cx = SimplicialComplex(
+        edges=np.column_stack([np.arange(n), np.arange(1, n + 1)]),
+        coords=np.vstack([pts, pts[-1] + 1.0]))
+    assert cx.edges[:, 0].tolist() == list(range(n))
+    return cx, np.arange(n), np.zeros(n), sizes, np.cumsum(sizes) - sizes
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_sweep_start_is_each_contours_own_mean_rule(seed):
+    # tests/oracles.sweep_diameter's rule, contour by contour: the point
+    # farthest from the contour's own mean, the first on ties
+    cx, edge_ids, params, sizes, starts = _mixed_batch(seed)
+    want = []
+    for a, n in zip(starts.tolist(), sizes.tolist()):
+        pts = contours.crossing_points(cx, edge_ids[a:a + n],
+                                       params[a:a + n])
+        far = pts - pts.mean(axis=0)
+        want.append(a + int(np.argmax(np.einsum("ij,ij->i", far, far))))
+    got = contours._farthest_from_centroid(cx, edge_ids, params, sizes,
+                                           starts)
+    assert got.tolist() == want
+
+
+def test_sweep_start_pads_each_size_class_only():
+    # each contour is padded to the next power of two, so the padded block
+    # takes at most two point arrays and the call's peak stays a few of
+    # them; one block as wide as the 3,000-crossing contour would take
+    # about 250 point arrays
+    import tracemalloc
+    cx, edge_ids, params, sizes, starts = _mixed_batch(3)
+    point_bytes = 24 * int(sizes.sum())
+    tracemalloc.start()
+    try:
+        contours._farthest_from_centroid(cx, edge_ids, params, sizes, starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * point_bytes
 
 
 # ------------------------------------------------------------------- file io

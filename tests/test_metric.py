@@ -12,14 +12,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from reebscope.complexes import LevelScan, ScalarField, height_field
+from reebscope.complexes import (LevelScan, ScalarField, contours_at,
+                                 height_field, select_gaps)
 from reebscope.complexes import levelscan
+from reebscope.complexes.contours import sweep_diameters
 from reebscope.complexes.generators import (circle_mesh, distance_field,
                                             flat_torus_mesh, generate_space,
                                             theta_mesh, torus_mesh,
                                             uv_sphere_mesh)
-from reebscope.metric import (BoundReport, MorseBoundParams, bound_ratio,
-                              composed_intermediate_bound,
+from reebscope.metric import (_FIRST_GAPS, BoundReport, MorseBoundParams,
+                              bound_ratio, composed_intermediate_bound,
                               distance_function_bound, distortion,
                               gh_delta_bounds, intermediate_bounds,
                               max_contour_diameter, morse_bound_B, thickness)
@@ -57,7 +59,7 @@ def test_circle_height_distortion_frozen():
     cx = circle_mesh(64)
     f = ScalarField(cx.coords[:, 1])
     graph, qmap = build_reeb(cx, f)
-    dis = distortion(cx, f, graph, qmap, pairs="all")
+    dis = distortion(cx, f, graph, qmap)
     assert dis == pytest.approx(CIRCLE64_HEIGHT_DISTORTION, rel=1e-12)
     # the continuum value is pi - 2 (antipodal pair versus folded diameter)
     assert dis == pytest.approx(math.pi - 2.0, abs=5e-3)
@@ -67,14 +69,14 @@ def test_circle_distance_field_distortion_vanishes():
     cx = circle_mesh(64)
     f = distance_field(cx, 0)
     graph, qmap = build_reeb(cx, f)
-    assert distortion(cx, f, graph, qmap, pairs="all") <= 1e-12
+    assert distortion(cx, f, graph, qmap) <= 1e-12
 
 
 def test_theta_ambient_distortion_frozen():
     cx = theta_mesh(24, 6)
     f = ScalarField(np.hypot(cx.coords[:, 0], cx.coords[:, 1]))
     graph, qmap = build_reeb(cx, f)
-    dis = distortion(cx, f, graph, qmap, pairs="all")
+    dis = distortion(cx, f, graph, qmap)
     assert dis == pytest.approx(THETA_24_6_AMBIENT_DISTORTION, rel=1e-12)
     # collapsing the circle plateau loses half the polygon circumference
     assert dis == pytest.approx(24 * math.sin(math.pi / 24), rel=1e-12)
@@ -97,7 +99,7 @@ def test_distortion_matches_oracle(make):
     else:
         f = distance_field(cx, 0)
     graph, qmap = build_reeb(cx, f)
-    ours = distortion(cx, f, graph, qmap, pairs="all")
+    ours = distortion(cx, f, graph, qmap)
     ref = oracles.distortion_oracle(cx, f, graph, qmap)
     assert ours == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
@@ -121,23 +123,7 @@ def test_graph_point_arrays_match_the_per_vertex_loop():
             assert a.tobytes() == b.tobytes()
 
 
-def test_sampled_distortion_is_a_lower_bound():
-    cx = torus_mesh(16, 8)
-    f = height_field(cx)
-    graph, qmap = build_reeb(cx, f)
-    full = distortion(cx, f, graph, qmap, pairs="all")
-    sampled = distortion(cx, f, graph, qmap, pairs=500, seed=5)
-    again = distortion(cx, f, graph, qmap, pairs=500, seed=5)
-    assert sampled == again
-    assert sampled <= full + 1e-12
-
-
 def test_distortion_input_validation():
-    cx = circle_mesh(8)
-    f = height_field(cx, axis=1)
-    graph, qmap = build_reeb(cx, f)
-    with pytest.raises(ValueError, match="positive"):
-        distortion(cx, f, graph, qmap, pairs=0)
     two = flat_torus_mesh(4)
     disjoint = type(two)(edges=[[0, 1], [2, 3]], lengths=[1.0, 1.0],
                          n_vertices=4)
@@ -174,9 +160,9 @@ def _gaps_read(monkeypatch, measure, *args, **kwargs):
     read = set()
     contours = levelscan.GapView.contours
 
-    def counted(gap, level=None):
+    def counted(gap):
         read.add((gap.lo, gap.hi))
-        return contours(gap, level)
+        return contours(gap)
 
     monkeypatch.setattr(levelscan.GapView, "contours", counted)
     measure(*args, **kwargs)
@@ -198,6 +184,54 @@ def test_level_sample_reads_gaps_with_level_sets(monkeypatch):
     for m in (40, n_gaps, n_gaps + 10):
         assert _gaps_read(monkeypatch, max_contour_diameter, torus, f,
                           max_levels=m) == min(m, n_gaps)
+
+
+def test_sampled_scan_labels_only_the_gaps_it_reads(monkeypatch):
+    torus = generate_space("torus", 0.15).complex
+    f = distance_field(torus, 0)
+    labelled, read = [], []
+    label, contours = levelscan.label_level_sets, levelscan.GapView.contours
+
+    def counted_label(complex, g, levels):
+        labelled.extend(np.asarray(levels).tolist())
+        return label(complex, g, levels)
+
+    def counted(gap):
+        out = contours(gap)
+        read.append(out.level)
+        return out
+
+    monkeypatch.setattr(levelscan, "label_level_sets", counted_label)
+    monkeypatch.setattr(levelscan.GapView, "contours", counted)
+    max_contour_diameter(torus, f, max_levels=40)
+    # each gap read is labelled once, in value order, and no other is
+    assert len(read) == 40
+    assert labelled == read
+
+
+def test_sampled_measures_equal_gap_by_gap_ones():
+    # every sampled gap labelled alone by contours_at and each contour
+    # swept alone give the same D and thickness as the batched scan
+    torus = generate_space("torus", 0.15).complex
+    f = distance_field(torus, 0)
+    vals = np.unique(f.resolved_values)
+    per_gap = []
+    for level in (0.5 * (vals[:-1] + vals[1:])).tolist():
+        conts = contours_at(torus, f, level)
+        if not conts:
+            continue
+        diams = [float(sweep_diameters(torus, c.edge_ids, c.params,
+                                       [0, len(c)])[0]) for c in conts]
+        per_gap.append((max(diams), min(c.length(torus) / d for c, d
+                                        in zip(conts, diams) if d > 0.0)))
+    n_gaps = len(per_gap)
+    for m in (40, n_gaps, None):
+        picked = range(n_gaps) if m is None else sorted(select_gaps(
+            n_gaps, min(_FIRST_GAPS, m), max(0, m - _FIRST_GAPS)))
+        assert max_contour_diameter(torus, f, max_levels=m) \
+            == max(per_gap[i][0] for i in picked)
+        assert thickness(torus, f, max_levels=m) \
+            == min(per_gap[i][1] for i in picked)
 
 
 def test_thickness_torus_height_comfortably_above_one():
