@@ -101,6 +101,9 @@ def cmd_verify(suite, seed, h, tol, out_path):
         reports = SUITES[name](h=h, seed=seed, tol=tol)
     except ValueError as exc:
         _fail_usage(str(exc))
+    except MemoryError:
+        at = "its default h" if h is None else f"h={h!r}"
+        _fail_usage(f"suite {name} at {at}: not enough memory")
     click.echo(format_reports(reports), err=True)
     doc = {"schema": 1, "suite": name, "seed": seed,
            "reports": [r.to_json_doc() for r in reports]}

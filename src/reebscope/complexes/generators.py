@@ -11,10 +11,16 @@ Conventions worth knowing:
 * Genus-g surfaces are g standing tori stacked vertically; adjacent apex
   vertices are removed and the hexagonal holes joined by a 12-triangle tube.
   Height keeps one min, one max and 2g saddles.
-* Disk and hemisphere are rings of 8k resp. 6k vertices; ring ids are
-  consecutive around each ring, so value plateaus form contiguous
-  arcs.  Hemisphere ring counts are multiples of 6, which puts the three
-  tripod meridians (azimuth 0, 2π/3, 4π/3) exactly on mesh edges.
+* Sphere, disk and hemisphere are lists of concentric vertex rings, a
+  pole or centre being a one-vertex ring, and one function (`_stitch`)
+  triangulates the band between each ring and the next; it also builds
+  the genus seams.  Disk and hemisphere rings have 8k resp. 6k vertices;
+  ring ids are consecutive around each ring, so value plateaus form
+  contiguous arcs.  Hemisphere ring counts are multiples of 6, which puts
+  the three tripod meridians (azimuth 0, 2π/3, 4π/3) exactly on mesh edges.
+* Builders may list triangles in any order: `SimplicialComplex` sorts each
+  triangle and then the list, and derives embedded edges from them, so
+  only the triangle set and the vertex order shape the complex.
 * The flat torus is metric-only (no coordinates): an N×N grid with wrapped
   axis edges of length 1/N and (+1,+1) diagonals of length √2/N.
 """
@@ -41,18 +47,28 @@ def path_mesh(n: int, length: float = 1.0) -> SimplicialComplex:
         raise ValueError("path needs at least 2 vertices")
     coords = np.zeros((n, 3))
     coords[:, 0] = np.linspace(0.0, length, n)
-    edges = [(i, i + 1) for i in range(n - 1)]
-    return SimplicialComplex(edges=edges, coords=coords, name="path")
+    return SimplicialComplex(edges=_chain(np.arange(n)), coords=coords,
+                             name="path")
+
+
+def _ring(n, rad, z):
+    """n points at azimuths 2πj/n on the circle of radius rad at height z."""
+    a = 2 * np.pi * np.arange(n) / n
+    return np.column_stack([rad * np.cos(a), rad * np.sin(a), np.full(n, z)])
+
+
+def _chain(*ids):
+    """The edges of the path through the given vertex ids and id ranges,
+    in order."""
+    ids = np.concatenate([np.atleast_1d(i) for i in ids]).astype(np.int64)
+    return np.column_stack([ids[:-1], ids[1:]])
 
 
 def circle_mesh(n: int, radius: float = 1.0) -> SimplicialComplex:
     if n < 3:
         raise ValueError("circle needs at least 3 vertices")
-    a = 2 * np.pi * np.arange(n) / n
-    coords = np.column_stack([radius * np.cos(a), radius * np.sin(a),
-                              np.zeros(n)])
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return SimplicialComplex(edges=edges, coords=coords, name="circle")
+    return SimplicialComplex(edges=_chain(np.arange(n), 0),
+                             coords=_ring(n, radius, 0.0), name="circle")
 
 
 def three_arc_mesh(n: int) -> SimplicialComplex:
@@ -61,23 +77,17 @@ def three_arc_mesh(n: int) -> SimplicialComplex:
     finite level sets has a Reeb graph isomorphic to the whole space."""
     if n < 2:
         raise ValueError("three_arc needs at least 2 edges per branch")
-    coords = [(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
-    edges = []
-    for sign, kind in ((0.0, "straight"), (0.75, "upper"), (-0.75, "lower")):
-        prev = 0
-        for i in range(1, n):
-            t = i / n
-            if kind == "straight":
-                p = (2 * t - 1, 0.0, 0.0)
-            else:
-                p = (-math.cos(math.pi * t), sign * math.sin(math.pi * t), 0.0)
-            coords.append(p)
-            cur = len(coords) - 1
-            edges.append((prev, cur))
-            prev = cur
-        edges.append((prev, 1))
-    return SimplicialComplex(edges=edges, coords=np.asarray(coords),
-                             name="three_arc")
+    t = np.arange(1, n) / n
+    zero = np.zeros(n - 1)
+    coords = [[(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0)],
+              np.column_stack([2 * t - 1, zero, zero])]
+    coords += [np.column_stack([-np.cos(np.pi * t),
+                                sign * np.sin(np.pi * t), zero])
+               for sign in (0.75, -0.75)]
+    edges = [_chain(0, np.arange(2, n + 1) + k * (n - 1), 1)
+             for k in range(3)]
+    return SimplicialComplex(edges=np.concatenate(edges),
+                             coords=np.concatenate(coords), name="three_arc")
 
 
 def wedge_circles_mesh(r: int, n: int, loop_radius: float = 0.5
@@ -85,23 +95,16 @@ def wedge_circles_mesh(r: int, n: int, loop_radius: float = 0.5
     """r polygonal loops of n edges each, sharing the origin vertex."""
     if r < 1 or n < 3:
         raise ValueError("need r ≥ 1 loops of n ≥ 3 edges")
-    coords = [(0.0, 0.0, 0.0)]
-    edges = []
+    th = (math.pi + 2 * math.pi * np.arange(1, n) / n)[:, None]
     w = np.array([0.0, 0.0, 1.0])
+    coords = [np.zeros((1, 3))]
     for j in range(r):
         a = 2 * np.pi * j / r
         u = np.array([math.cos(a), math.sin(a), 0.0])
-        prev = 0
-        for k in range(1, n):
-            th = math.pi + 2 * math.pi * k / n
-            p = loop_radius * ((1 + math.cos(th)) * u + math.sin(th) * w)
-            coords.append(tuple(p))
-            cur = len(coords) - 1
-            edges.append((prev, cur))
-            prev = cur
-        edges.append((prev, 0))
-    return SimplicialComplex(edges=edges, coords=np.asarray(coords),
-                             name=f"wedge{r}")
+        coords.append(loop_radius * ((1 + np.cos(th)) * u + np.sin(th) * w))
+    edges = [_chain(0, np.arange(1, n) + j * (n - 1), 0) for j in range(r)]
+    return SimplicialComplex(edges=np.concatenate(edges),
+                             coords=np.concatenate(coords), name=f"wedge{r}")
 
 
 def theta_mesh(n_circle: int, n_spoke: int) -> SimplicialComplex:
@@ -110,18 +113,13 @@ def theta_mesh(n_circle: int, n_spoke: int) -> SimplicialComplex:
     circle is one level set, so the Reeb graph collapses to a segment."""
     if n_circle < 3 or n_spoke < 1:
         raise ValueError("need n_circle ≥ 3 and n_spoke ≥ 1")
-    a = 2 * np.pi * np.arange(n_circle) / n_circle
-    coords = [(math.cos(t), math.sin(t), 0.0) for t in a]
-    edges = [(i, (i + 1) % n_circle) for i in range(n_circle)]
-    prev = 0
-    for k in range(1, n_spoke + 1):
-        x = 1.0 - k / n_spoke
-        coords.append((x, 0.0, 0.0))
-        cur = len(coords) - 1
-        edges.append((prev, cur))
-        prev = cur
-    return SimplicialComplex(edges=edges, coords=np.asarray(coords),
-                             name="theta")
+    spoke = np.zeros((n_spoke, 3))
+    spoke[:, 0] = 1.0 - np.arange(1, n_spoke + 1) / n_spoke
+    # one walk: around the circle back to vertex 0, then down the spoke
+    edges = _chain(np.arange(n_circle), 0, n_circle + np.arange(n_spoke))
+    return SimplicialComplex(edges=edges,
+                             coords=np.concatenate([_ring(n_circle, 1.0, 0.0),
+                                                    spoke]), name="theta")
 
 
 # ------------------------------------------------------------------ surfaces
@@ -211,24 +209,47 @@ def genus_mesh(g: int, nu: int, nv: int, R: float = TORUS_R,
         start += len(pts)
     coords = np.concatenate(coords)
 
-    seam = []
     for i in range(g - 1):
-        a = remap_of[i][hex_top].tolist()
-        b = remap_of[i + 1][hex_bot].tolist()
+        a = remap_of[i][hex_top]
+        b = remap_of[i + 1][hex_bot]
         # roll the upper hexagon so paired vertices share an azimuth
         ang_a0 = math.atan2(coords[a[0]][1], coords[a[0]][0])
-        angs_b = [math.atan2(coords[v][1], coords[v][0]) for v in b]
-        shift = min(range(6), key=lambda s: abs(
-            math.remainder(angs_b[s] - ang_a0, 2 * math.pi)))
-        b = b[shift:] + b[:shift]
-        for k in range(6):
-            k1 = (k + 1) % 6
-            seam.append((a[k], b[k], b[k1]))
-            seam.append((a[k], a[k1], b[k1]))
-    tris.append(np.asarray(seam, dtype=np.int64))
+        shift = min(range(6), key=lambda s: abs(math.remainder(
+            math.atan2(coords[b[s]][1], coords[b[s]][0]) - ang_a0,
+            2 * math.pi)))
+        tris.append(_stitch(a, np.roll(b, -shift)))
 
     return SimplicialComplex(triangles=np.concatenate(tris), coords=coords,
                              name=f"genus{g}")
+
+
+def _stitch(inner, outer):
+    """The band of triangles between two rings of vertex ids.  Both rings
+    are walked by index fraction, the outer one first on ties: each outer
+    step (j → j+1) makes a triangle with the current inner vertex, each
+    inner step (i → i+1) one with the current outer vertex.  A one-vertex
+    ring takes no steps, so it caps the other."""
+    inner, outer = np.asarray(inner), np.asarray(outer)
+    m, n = len(inner), len(outer)
+    keys = np.concatenate([np.arange(1, n + 1) / n, np.arange(1, m + 1) / m])
+    inner_step = np.argsort(keys, kind="stable") >= n
+    i = np.cumsum(inner_step) - inner_step  # inner steps before this one
+    j = np.arange(m + n) - i                # outer steps before this one
+    tris = np.column_stack([
+        inner[i % m],
+        np.where(inner_step, inner[(i + 1) % m], outer[j % n]),
+        outer[(j + ~inner_step) % n]])
+    return tris[np.where(inner_step, m > 1, n > 1)]
+
+
+def _ring_mesh(rings, name):
+    """The surface whose vertices are the given rings of points, in order,
+    each ring stitched to the next."""
+    ends = np.cumsum([len(r) for r in rings])
+    ids = [np.arange(e - len(r), e) for r, e in zip(rings, ends)]
+    tris = [_stitch(a, b) for a, b in zip(ids, ids[1:])]
+    return SimplicialComplex(triangles=np.concatenate(tris),
+                             coords=np.concatenate(rings), name=name)
 
 
 def uv_sphere_mesh(n_lat: int, n_lon: int, radius: float = 1.0
@@ -237,54 +258,12 @@ def uv_sphere_mesh(n_lat: int, n_lon: int, radius: float = 1.0
     vertices; ring ids are consecutive around each ring."""
     if n_lat < 3 or n_lon < 3:
         raise ValueError("need n_lat ≥ 3 and n_lon ≥ 3")
-    coords = [(0.0, 0.0, radius)]
-    ring_start = []
+    rings = [_ring(1, 0.0, radius)]
     for k in range(1, n_lat):
         th = math.pi * k / n_lat
-        ring_start.append(len(coords))
-        for j in range(n_lon):
-            ph = 2 * math.pi * j / n_lon
-            coords.append((radius * math.sin(th) * math.cos(ph),
-                           radius * math.sin(th) * math.sin(ph),
+        rings.append(_ring(n_lon, radius * math.sin(th),
                            radius * math.cos(th)))
-    south = len(coords)
-    coords.append((0.0, 0.0, -radius))
-
-    def rid(k, j):
-        return ring_start[k] + (j % n_lon)
-
-    tris = []
-    for j in range(n_lon):
-        tris.append((0, rid(0, j), rid(0, j + 1)))
-    for k in range(n_lat - 2):
-        for j in range(n_lon):
-            a, b = rid(k, j), rid(k, j + 1)
-            c, d = rid(k + 1, j), rid(k + 1, j + 1)
-            tris.append((a, b, d))
-            tris.append((a, d, c))
-    for j in range(n_lon):
-        tris.append((south, rid(n_lat - 2, j), rid(n_lat - 2, j + 1)))
-    return SimplicialComplex(triangles=np.asarray(tris, dtype=np.int64),
-                             coords=np.asarray(coords), name="sphere")
-
-
-def _stitch_rings(inner, outer):
-    """Triangulate the annulus between two concentric vertex rings whose
-    positions are evenly spread by index fraction."""
-    m, n = len(inner), len(outer)
-    if m == 1:
-        return [(inner[0], outer[j], outer[(j + 1) % n]) for j in range(n)]
-    tris = []
-    i = j = 0
-    while i < m or j < n:
-        adv_outer = j < n and (i >= m or (j + 1) / n <= (i + 1) / m)
-        if adv_outer:
-            tris.append((inner[i % m], outer[j % n], outer[(j + 1) % n]))
-            j += 1
-        else:
-            tris.append((inner[i % m], inner[(i + 1) % m], outer[j % n]))
-            i += 1
-    return tris
+    return _ring_mesh(rings + [_ring(1, 0.0, -radius)], "sphere")
 
 
 def disk_mesh(n_rings: int, radius: float = 1.0) -> SimplicialComplex:
@@ -292,22 +271,9 @@ def disk_mesh(n_rings: int, radius: float = 1.0) -> SimplicialComplex:
     four axis touch points (±R,0), (0,±R) are always mesh vertices."""
     if n_rings < 1:
         raise ValueError("need n_rings ≥ 1")
-    coords = [(0.0, 0.0, 0.0)]
-    rings = [[0]]
-    for k in range(1, n_rings + 1):
-        rad = radius * k / n_rings
-        ring = []
-        cnt = 8 * k
-        for j in range(cnt):
-            a = 2 * math.pi * j / cnt
-            ring.append(len(coords))
-            coords.append((rad * math.cos(a), rad * math.sin(a), 0.0))
-        rings.append(ring)
-    tris = []
-    for k in range(n_rings):
-        tris.extend(_stitch_rings(rings[k], rings[k + 1]))
-    return SimplicialComplex(triangles=tris, coords=np.asarray(coords),
-                             name="disk")
+    return _ring_mesh([_ring(1, 0.0, 0.0),
+                       *(_ring(8 * k, radius * k / n_rings, 0.0)
+                         for k in range(1, n_rings + 1))], "disk")
 
 
 def hemisphere_mesh(n_rings: int, radius: float = 1.0) -> SimplicialComplex:
@@ -315,52 +281,24 @@ def hemisphere_mesh(n_rings: int, radius: float = 1.0) -> SimplicialComplex:
     (π/2)(k/n_rings); the equator ring is the boundary."""
     if n_rings < 1:
         raise ValueError("need n_rings ≥ 1")
-    coords = [(0.0, 0.0, radius)]
-    rings = [[0]]
+    rings = [_ring(1, 0.0, radius)]
     for k in range(1, n_rings + 1):
         th = 0.5 * math.pi * k / n_rings
-        ring = []
-        cnt = 6 * k
-        for j in range(cnt):
-            ph = 2 * math.pi * j / cnt
-            ring.append(len(coords))
-            coords.append((radius * math.sin(th) * math.cos(ph),
-                           radius * math.sin(th) * math.sin(ph),
+        rings.append(_ring(6 * k, radius * math.sin(th),
                            radius * math.cos(th)))
-        rings.append(ring)
-    tris = []
-    for k in range(n_rings):
-        tris.extend(_stitch_rings(rings[k], rings[k + 1]))
-    return SimplicialComplex(triangles=tris, coords=np.asarray(coords),
-                             name="hemisphere")
+    return _ring_mesh(rings, "hemisphere")
 
 
 def flat_torus_mesh(n: int, side: float = 1.0) -> SimplicialComplex:
-    """Square flat torus as a metric-only complex (no embedding)."""
+    """Square flat torus as a metric-only complex (no embedding).  Vertex
+    (i, j) has, in row-major order, its two axis edges and its diagonal."""
     if n < 3:
         raise ValueError("need n ≥ 3")
     h = side / n
-    edges = []
-    lengths = []
-
-    def vid(i, j):
-        return (i % n) * n + (j % n)
-
-    for i in range(n):
-        for j in range(n):
-            edges.append((vid(i, j), vid(i + 1, j)))
-            lengths.append(h)
-            edges.append((vid(i, j), vid(i, j + 1)))
-            lengths.append(h)
-            edges.append((vid(i, j), vid(i + 1, j + 1)))
-            lengths.append(h * math.sqrt(2.0))
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
+    tris = _grid_triangles(n, n)
+    # each square's triangles are a b c, a c d: take ab, ad and ac
+    edges = tris.reshape(-1, 6)[:, [0, 1, 0, 5, 0, 2]].reshape(-1, 2)
+    lengths = np.tile([h, h, h * math.sqrt(2.0)], n * n)
     return SimplicialComplex(edges=edges, lengths=lengths, triangles=tris,
                              n_vertices=n * n, name="flat_torus")
 

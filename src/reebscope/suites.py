@@ -42,24 +42,21 @@ def _random_sources(space, count, seed, tag):
 
 
 _THM31_FIXTURES = (
-    ("sphere", {}),
-    ("torus", {}),
-    ("genus2", {"g": 2}),
-    ("genus3", {"g": 3}),
-    ("theta", {}),
-    ("wedge3", {"r": 3}),
+    ("sphere", "sphere", {}),
+    ("torus", "torus", {}),
+    ("genus2", "genus", {"g": 2}),
+    ("genus3", "genus", {"g": 3}),
+    ("theta", "theta", {}),
+    ("wedge3", "wedge", {"r": 3}),
 )
-
-_GENERATOR_OF = {"sphere": "sphere", "torus": "torus", "genus2": "genus",
-                 "genus3": "genus", "theta": "theta", "wedge3": "wedge"}
 
 
 def thm31_suite(h=None, seed=0, tol=None):
     """cycle_rank(R_f) <= corank <= b1 on six fixtures, several fields."""
     h = 0.1 if h is None else h
     out = []
-    for label, params in _THM31_FIXTURES:
-        space = generate_space(_GENERATOR_OF[label], h, **params)
+    for label, gen, params in _THM31_FIXTURES:
+        space = generate_space(gen, h, **params)
         b1 = space.betti[1]
         out.append(BoundReport.check(
             f"thm31:{label}:corank<=b1", space.b1_prime, b1,

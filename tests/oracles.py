@@ -18,7 +18,9 @@ own, as the library did before it parsed the body with one numpy call.
 Graph components come from scipy's `connected_components`, the call the
 library's union-find replaced.  Torus grid coordinates come from a Python
 double loop with `math.cos` and `math.sin` per vertex, the loop the
-library's array form replaced.  Run as a script to print the values the
+library's array form replaced, and the band between two vertex rings
+from the two-pointer walk the library's sorted merge replaced.  Run as a
+script to print the values the
 tests freeze.
 """
 
@@ -434,6 +436,24 @@ def torus_points(nu, nv, R, r):
             out[i * nv + j] = (w * math.cos(u), r * math.sin(v),
                                w * math.sin(u))
     return out
+
+
+def stitch_rings(inner, outer):
+    """Triangles of the band between two vertex rings, one step at a time:
+    advance on the outer ring while its next index fraction is at most the
+    inner ring's, else on the inner ring.  Steps on a one-vertex ring give
+    degenerate triangles, which are dropped."""
+    m, n = len(inner), len(outer)
+    tris = []
+    i = j = 0
+    while i < m or j < n:
+        if j < n and (i >= m or (j + 1) / n <= (i + 1) / m):
+            tris.append((inner[i % m], outer[j], outer[(j + 1) % n]))
+            j += 1
+        else:
+            tris.append((inner[i], inner[(i + 1) % m], outer[j % n]))
+            i += 1
+    return [t for t in tris if len(set(t)) == 3]
 
 
 # ---------------------------------------------------------------- homology

@@ -244,6 +244,21 @@ def test_verify_rejects_unknown_suite(runner):
     assert "Invalid value" in res.stderr
 
 
+@pytest.mark.parametrize("h, shown", [(None, "default h"),
+                                      (1e-06, "h=1e-06")])
+def test_verify_reports_lack_of_memory(runner, monkeypatch, h, shown):
+    def starved(**kwargs):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.SUITES, "thm62", starved)
+    args = ["verify", "--suite", "thm62"]
+    res = runner.invoke(main, args + ([] if h is None else ["--h", str(h)]))
+    _assert_usage_error(res)
+    assert "thm62" in res.stderr and shown in res.stderr
+    assert "memory" in res.stderr
+    assert res.stdout == ""
+
+
 def _strict_json(text):
     def reject(name):
         raise ValueError(f"{name} is not JSON")

@@ -1311,6 +1311,19 @@ def test_sorted_unique_keeps_np_uniques_zero_among_signed_zeros():
             np.concatenate([a, _tied_floats(rng, rng.integers(0, 20))]))
 
 
+def test_stitch_equals_the_two_pointer_walk():
+    # every pair of ring sizes up to 13, one-vertex rings included, in the
+    # walk's own order, on ids that are not consecutive
+    for m, n in itertools.product(range(1, 14), repeat=2):
+        if m == n == 1:
+            continue
+        inner, outer = 3 * np.arange(m) + 1, 100 + 2 * np.arange(n)
+        got = generators._stitch(inner, outer)
+        want = oracles.stitch_rings(inner.tolist(), outer.tolist())
+        assert got.tolist() == [list(t) for t in want], (m, n)
+        assert len(got) == (m > 1) * m + (n > 1) * n
+
+
 def test_torus_points_equal_the_per_vertex_loop():
     # the grids generate_space builds at the suites' and the benchmark's h,
     # and the sizes the tests build directly

@@ -10,6 +10,11 @@ can be compared line by line for byte-identical results:
 - `coarse/<suite>`: the `repr` of the reports of the suites that
   perfbench runs, at perfbench's coarse h (its `SUITE_H`) and seed 0;
 - `thickness`: the `repr` of the `thickness_checks()` reports at seed 0;
+- `fixtures`: the dtype, shape and bytes of the edges, triangles,
+  coordinates, lengths and canonical field of every `generate_space`
+  fixture, at each suite's default h and at perfbench's coarse h; this
+  covers `flat_torus`, `three_arc`, `circle` and `path`, which no
+  `verify` line reaches;
 - `reeb/field-<k>`: the JSON and DOT files written by `reebscope reeb` on
   `perfbench/inputs.py`'s genus-3 mesh under its field of seed k, for
   k = 6 and 7, with the exit code; `reeb/crlf-6` is the same run on a
@@ -32,6 +37,11 @@ SRC = os.path.join(ROOT, "src")
 
 # perfbench/worker.py's SUITE_H
 COARSE_H = {"thm31": 0.25, "thm52": 0.4, "thm62": 0.05}
+# the suites' own default h, `thickness_checks` included
+DEFAULT_H = {"thm31": 0.1, "thm52": 0.15, "thm62": 0.02, "ex66": 0.02,
+             "thickness": 0.15}
+FIXTURES = ("sphere", "torus", "genus", "flat_torus", "disk", "hemisphere",
+            "theta", "three_arc", "wedge", "circle", "path")
 
 
 def _digest(data: bytes) -> str:
@@ -64,6 +74,25 @@ def _reeb(mesh: str, field: str):
             with open(out + ext, "rb") as fh:
                 body += fh.read()
     return _digest(body), proc.returncode
+
+
+def _fixtures_digest() -> str:
+    from reebscope.complexes.generators import generate_space
+
+    sha = hashlib.sha256()
+    for h in sorted({*COARSE_H.values(), *DEFAULT_H.values()}):
+        for name in FIXTURES:
+            space = generate_space(name, h)
+            cx, field = space.complex, space.field
+            sha.update(f"{space.name}@{h}:{cx.n_vertices};".encode())
+            for arr in (cx.edges, cx.triangles, cx.coords, cx.lengths,
+                        None if field is None else field.values):
+                if arr is None:
+                    sha.update(b"None;")
+                    continue
+                sha.update(f"{arr.dtype.str}{arr.shape};".encode())
+                sha.update(arr.tobytes())
+    return sha.hexdigest()
 
 
 def _reeb_lines(tmp: str):
@@ -100,6 +129,7 @@ def main() -> int:
               flush=True)
     print(f"{'thickness':<15} "
           f"{_digest(repr(thickness_checks(seed=0)).encode())}", flush=True)
+    print(f"{'fixtures':<15} {_fixtures_digest()}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         _reeb_lines(tmp)
     return 0
