@@ -42,15 +42,6 @@ TORUS_r = 0.4
 
 # ---------------------------------------------------------------- 1-complexes
 
-def path_mesh(n: int, length: float = 1.0) -> SimplicialComplex:
-    if n < 2:
-        raise ValueError("path needs at least 2 vertices")
-    coords = np.zeros((n, 3))
-    coords[:, 0] = np.linspace(0.0, length, n)
-    return SimplicialComplex(edges=_chain(np.arange(n)), coords=coords,
-                             name="path")
-
-
 def _ring(n, rad, z):
     """n points at azimuths 2πj/n on the circle of radius rad at height z."""
     a = 2 * np.pi * np.arange(n) / n
@@ -62,6 +53,15 @@ def _chain(*ids):
     in order."""
     ids = np.concatenate([np.atleast_1d(i) for i in ids]).astype(np.int64)
     return np.column_stack([ids[:-1], ids[1:]])
+
+
+def path_mesh(n: int, length: float = 1.0) -> SimplicialComplex:
+    if n < 2:
+        raise ValueError("path needs at least 2 vertices")
+    coords = np.zeros((n, 3))
+    coords[:, 0] = np.linspace(0.0, length, n)
+    return SimplicialComplex(edges=_chain(np.arange(n)), coords=coords,
+                             name="path")
 
 
 def circle_mesh(n: int, radius: float = 1.0) -> SimplicialComplex:

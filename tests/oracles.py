@@ -20,8 +20,7 @@ library's union-find replaced.  Torus grid coordinates come from a Python
 double loop with `math.cos` and `math.sin` per vertex, the loop the
 library's array form replaced, and the band between two vertex rings
 from the two-pointer walk the library's sorted merge replaced.  Run as a
-script to print the values the
-tests freeze.
+script to print the values the tests freeze.
 """
 
 from __future__ import annotations

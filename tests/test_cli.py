@@ -245,7 +245,8 @@ def test_verify_rejects_unknown_suite(runner):
 
 
 @pytest.mark.parametrize("h, shown", [(None, "default h"),
-                                      (1e-06, "h=1e-06")])
+                                      (1e-06, "h=1e-06")],
+                         ids=["default-h", "small-h"])
 def test_verify_reports_lack_of_memory(runner, monkeypatch, h, shown):
     def starved(**kwargs):
         raise MemoryError
